@@ -54,16 +54,16 @@ int main(int argc, char** argv) {
       SearchOutcome<Op> outcome;
       switch (algo) {
         case SearchAlgorithm::kAStar:
-          outcome = AStarSearch(problem, limits, nullptr, metrics,
-                                nullptr, trace.session());
+          outcome = AStarSearch(problem, limits, metrics, nullptr,
+                                trace.session());
           break;
         case SearchAlgorithm::kIda:
-          outcome = IdaStarSearch(problem, limits, nullptr, metrics,
-                                  nullptr, trace.session());
+          outcome = IdaStarSearch(problem, limits, metrics, nullptr,
+                                  trace.session());
           break;
         case SearchAlgorithm::kRbfs:
-          outcome = RbfsSearch(problem, limits, nullptr, metrics,
-                               nullptr, trace.session());
+          outcome = RbfsSearch(problem, limits, metrics, nullptr,
+                               trace.session());
           break;
         default:
           continue;  // memory comparison covers the three paper algorithms

@@ -106,9 +106,8 @@ int main(int argc, char** argv) {
       limits.max_states = args.budget;
       limits.max_depth = 16;
       auto start = std::chrono::steady_clock::now();
-      SearchOutcome<Op> outcome = RbfsSearch(problem, limits, nullptr,
-                                              metrics, nullptr,
-                                              trace.session());
+      SearchOutcome<Op> outcome =
+          RbfsSearch(problem, limits, metrics, nullptr, trace.session());
       RunResult r;
       r.found = outcome.found;
       r.cutoff = outcome.budget_exhausted;

@@ -13,7 +13,6 @@
 #include "core/checkpoint.h"
 #include "fira/optimizer.h"
 #include "search/a_star.h"
-#include "search/beam.h"
 #include "search/greedy.h"
 #include "search/ida_star.h"
 #include "search/parallel_beam.h"
@@ -58,11 +57,11 @@ uint64_t RungSlice(uint64_t remaining, double share, bool last) {
   return slice == 0 && remaining > 0 ? 1 : slice;
 }
 
-// Dispatches one rung's algorithm. Beam rungs go through the parallel
-// runner, which degrades to plain BeamSearch when `pool` is null. `seed`
-// (nullable) resumes the algorithm from a checkpointed core. Each rung
-// shows up on the trace as a "rung.<algo>" driver span (literal names:
-// the session records only the name pointer).
+// Dispatches one rung's algorithm. Beam rungs run Phase A on `pool`, or
+// inline when `pool` is null. `seed` (nullable) resumes the algorithm
+// from a checkpointed core. Each rung shows up on the trace as a
+// "rung.<algo>" driver span (literal names: the session records only the
+// name pointer).
 SearchOutcome<Op> RunRung(SearchAlgorithm algorithm,
                           const MappingProblem& problem, size_t beam_width,
                           ThreadPool* pool, const SearchLimits& limits,
@@ -72,24 +71,24 @@ SearchOutcome<Op> RunRung(SearchAlgorithm algorithm,
   switch (algorithm) {
     case SearchAlgorithm::kIda: {
       obs::TraceSpan span(trace, obs::TraceCategory::kDriver, "rung.ida");
-      return IdaStarSearch(problem, limits, nullptr, metrics, seed, trace);
+      return IdaStarSearch(problem, limits, metrics, seed, trace);
     }
     case SearchAlgorithm::kRbfs: {
       obs::TraceSpan span(trace, obs::TraceCategory::kDriver, "rung.rbfs");
-      return RbfsSearch(problem, limits, nullptr, metrics, seed, trace);
+      return RbfsSearch(problem, limits, metrics, seed, trace);
     }
     case SearchAlgorithm::kAStar: {
       obs::TraceSpan span(trace, obs::TraceCategory::kDriver, "rung.astar");
-      return AStarSearch(problem, limits, nullptr, metrics, seed, trace);
+      return AStarSearch(problem, limits, metrics, seed, trace);
     }
     case SearchAlgorithm::kGreedy: {
       obs::TraceSpan span(trace, obs::TraceCategory::kDriver, "rung.greedy");
-      return GreedySearch(problem, limits, nullptr, metrics, seed, trace);
+      return GreedySearch(problem, limits, metrics, seed, trace);
     }
     case SearchAlgorithm::kBeam: {
       obs::TraceSpan span(trace, obs::TraceCategory::kDriver, "rung.beam");
-      return ParallelBeamSearch(problem, beam_width, pool, limits, nullptr,
-                                metrics, seed, trace);
+      return ParallelBeamSearch(problem, beam_width, pool, limits, metrics,
+                                seed, trace);
     }
   }
   return {};

@@ -186,6 +186,11 @@ std::string JsonValue::Dump(int indent) const {
 
 namespace {
 
+// Containers nest at most this deep. The parser recurses once per level,
+// so without a limit a frame of a million '[' overflows the stack; the
+// deepest documents the repo itself writes (BENCH reports) nest ten.
+constexpr int kMaxNestingDepth = 256;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -229,11 +234,18 @@ class Parser {
     SkipWhitespace();
     if (pos_ >= text_.size()) return Status::ParseError("unexpected end of JSON");
     char c = text_[pos_];
+    if (c == '{' || c == '[') {
+      if (depth_ >= kMaxNestingDepth) {
+        return Status::ParseError("JSON nests deeper than " +
+                                  std::to_string(kMaxNestingDepth) +
+                                  " levels at " + std::to_string(pos_));
+      }
+      ++depth_;
+      Result<JsonValue> v = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return v;
+    }
     switch (c) {
-      case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
       case '"': {
         TUPELO_ASSIGN_OR_RETURN(std::string s, ParseString());
         return JsonValue(std::move(s));
@@ -415,6 +427,7 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // containers currently open
 };
 
 }  // namespace

@@ -5,9 +5,8 @@
 #include <unordered_set>
 #include <vector>
 
-#include "search/instrumentation.h"
+#include "search/context.h"
 #include "search/search_types.h"
-#include "search/trace.h"
 
 namespace tupelo {
 
@@ -23,7 +22,7 @@ namespace tupelo {
 // distinct path states and wrongly prune a reachable successor.
 //
 // `metrics` (nullable, default off) feeds the search.* instruments of
-// search/instrumentation.h.
+// search/context.h.
 //
 // Checkpointing: a snapshot carries only progress counters and the
 // current f-bound — the DFS stack is not serialized. Resume restarts the
@@ -33,110 +32,63 @@ namespace tupelo {
 template <typename P>
 SearchOutcome<typename P::Action> IdaStarSearch(
     const P& problem, const SearchLimits& limits = SearchLimits(),
-    SearchTracer* tracer = nullptr, obs::MetricRegistry* metrics = nullptr,
+    obs::MetricRegistry* metrics = nullptr,
     const SearchSeed<typename P::State, typename P::Action>* seed = nullptr,
     obs::TraceSession* trace = nullptr) {
   using Action = typename P::Action;
   using State = typename P::State;
 
-  SearchOutcome<Action> outcome;
-  SearchInstrumentation instr(metrics);
-  SearchTraceEmitter emit(tracer, trace);
-  obs::TraceSpan search_span(trace, obs::TraceCategory::kSearch,
-                             "search.ida");
-  auto* sink = ResolveCheckpointSink<State, Action>(limits);
+  SearchContext<P> ctx(problem, limits, metrics, trace, "search.ida");
 
   struct Dfs {
-    const P& problem;
-    const SearchLimits& limits;
-    SearchOutcome<Action>& out;
-    SearchTraceEmitter& emit;
-    SearchInstrumentation& instr;
-    BudgetGuard& guard;
-    CheckpointSink<State, Action>* sink;
+    SearchContext<P>& ctx;
     std::vector<Action> path_actions;
     std::unordered_set<Fp128, Fp128Hash> path_keys;
     int64_t next_bound = kSearchInfinity;
-    StopReason abort_reason = StopReason::kExhausted;
-    bool aborted = false;
 
-    enum class Verdict { kFound, kNotFound };
+    // True when a goal was reached at or below `state`.
+    bool Visit(const State& state, int64_t g, int64_t bound) {
+      const uint64_t memory_nodes =
+          ctx.MemoryNodes(static_cast<uint64_t>(g) + 1);
+      if (ctx.OverBudget(g, memory_nodes)) return false;
+      if (ctx.guard.checkpoint_due()) {
+        ctx.OfferSnapshot([bound](SearchSeed<State, Action>& snap) {
+          snap.ida_bound = bound;
+        });
+      }
+      ctx.RecordPeak(memory_nodes);
 
-    Verdict Visit(const State& state, int64_t g, int64_t bound) {
-      uint64_t memory_nodes =
-          static_cast<uint64_t>(g) + 1 + AuxMemoryNodes(problem);
-      if (std::optional<StopReason> stop = guard.Check(
-              out.stats.states_examined, g, memory_nodes)) {
-        aborted = true;
-        abort_reason = *stop;
-        return Verdict::kNotFound;
-      }
-      if (sink != nullptr && guard.checkpoint_due() &&
-          sink->WantSnapshot(out.stats.states_examined)) {
-        SearchSeed<State, Action> snap;
-        snap.states_examined = out.stats.states_examined;
-        snap.best_path = out.best_path;
-        snap.best_h = out.best_h;
-        snap.ida_bound = bound;
-        sink->OnSnapshot(std::move(snap));
-      }
-      ++out.stats.states_examined;
-      out.stats.peak_memory_nodes =
-          std::max(out.stats.peak_memory_nodes, memory_nodes);
-      instr.OnVisit(problem.StateKey(state));
-      instr.OnPeakMemory(memory_nodes);
-
-      int64_t f = g + problem.EstimateCost(state);
-      if (int h = static_cast<int>(f - g); out.best_h < 0 || h < out.best_h) {
-        out.best_h = h;
-        out.best_path = path_actions;
-      }
-      if (emit.enabled()) {
-        emit.Visit(problem.StateKey(state), static_cast<int>(g), f);
-      }
+      const int h = ctx.problem.EstimateCost(state);
+      const int64_t f = g + h;
+      if (ctx.Visit(state, g, h, f)) ctx.out.best_path = path_actions;
       if (f > bound) {
         next_bound = std::min(next_bound, f);
-        return Verdict::kNotFound;
+        return false;
       }
-      if (problem.IsGoal(state)) {
-        if (emit.enabled()) {
-          emit.Goal(problem.StateKey(state), static_cast<int>(g), f);
-        }
-        out.found = true;
-        out.stop = StopReason::kFound;
-        out.path = path_actions;
-        out.best_path = path_actions;
-        out.best_h = 0;
-        out.stats.solution_cost = static_cast<int>(g);
-        return Verdict::kFound;
+      if (ctx.problem.IsGoal(state)) {
+        ctx.Goal(path_actions);
+        return true;
       }
-      auto successors = GuardedExpand(problem, state, limits.quarantine);
-      out.stats.states_generated += successors.size();
-      instr.OnExpand(successors.size());
-      for (auto& succ : successors) {
-        Fp128 key = StateFingerprint(problem, succ.state);
+      for (auto& succ : ctx.Expand(state)) {
+        Fp128 key = StateFingerprint(ctx.problem, succ.state);
         if (path_keys.contains(key)) {
-          instr.OnDuplicateHit();
+          ctx.DuplicateHit();
           continue;
         }
         path_keys.insert(key);
         path_actions.push_back(succ.action);
-        Verdict v = Visit(succ.state, g + 1, bound);
+        const bool found = Visit(succ.state, g + 1, bound);
         path_actions.pop_back();
         path_keys.erase(key);
-        if (v == Verdict::kFound || aborted) return v;
+        if (found || ctx.Stopped()) return found;
       }
-      return Verdict::kNotFound;
+      return false;
     }
   };
 
-  BudgetGuard guard(limits);
-  Dfs dfs{problem, limits, outcome, emit,
-          instr,   guard,  sink,    {},      {},
-          kSearchInfinity, StopReason::kExhausted, false};
-
+  Dfs dfs{ctx, {}, {}, kSearchInfinity};
   const State& root = problem.initial_state();
-  Fp128 root_key = StateFingerprint(problem, root);
+  const Fp128 root_key = StateFingerprint(problem, root);
   int64_t bound = problem.EstimateCost(root);
   if (seed != nullptr && seed->ida_bound >= 0) {
     // Resume: skip the iterations below the checkpointed bound. Bounds
@@ -145,26 +97,26 @@ SearchOutcome<typename P::Action> IdaStarSearch(
   }
 
   while (true) {
-    if (emit.enabled()) emit.Iteration(0, bound);
-    instr.OnIteration(bound);
+    ctx.Iteration(0, bound);
+    if (ctx.iterations != nullptr) {
+      ctx.iterations->Increment();
+      ctx.f_bound->Observe(bound);
+    }
     obs::TraceSpan iter_span(trace, obs::TraceCategory::kSearch,
                              "ida.iteration", "bound", bound);
     dfs.next_bound = kSearchInfinity;
     dfs.path_keys = {root_key};
     dfs.path_actions.clear();
-    uint64_t states_before = outcome.stats.states_examined;
-    typename Dfs::Verdict v = dfs.Visit(root, 0, bound);
-    ++outcome.stats.iterations;
+    const uint64_t states_before = ctx.out.stats.states_examined;
+    const bool found = dfs.Visit(root, 0, bound);
+    ++ctx.out.stats.iterations;
     iter_span.SetEndArg("states", static_cast<int64_t>(
-                                      outcome.stats.states_examined -
+                                      ctx.out.stats.states_examined -
                                       states_before));
-    if (v == Dfs::Verdict::kFound) return outcome;
-    if (dfs.aborted) {
-      outcome.stop = dfs.abort_reason;
-      outcome.budget_exhausted = IsResourceStop(dfs.abort_reason);
-      return outcome;
+    // Found, stopped, or no f-value exceeded the bound: space exhausted.
+    if (found || ctx.Stopped() || dfs.next_bound >= kSearchInfinity) {
+      return ctx.Finish();
     }
-    if (dfs.next_bound >= kSearchInfinity) return outcome;  // space exhausted
     bound = dfs.next_bound;
   }
 }

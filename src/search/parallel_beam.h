@@ -8,72 +8,73 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "search/beam.h"
-#include "search/instrumentation.h"
+#include "search/context.h"
 #include "search/search_types.h"
-#include "search/trace.h"
 
 namespace tupelo {
 
-// Parallel level-synchronous beam search. Each depth level runs in two
-// phases:
+// Level-synchronous beam search: keep only the `beam_width` lowest-h
+// states per depth level. Another of §7's "further search techniques" —
+// the cheapest memory-bounded best-first variant, and deliberately
+// *incomplete*: if every goal path leaves the beam, the search fails even
+// though a mapping exists. Useful as a recall benchmark for heuristics
+// (a heuristic whose beam-8 recall is high is trustworthy greedily).
 //
-//   Phase A (parallel): every frontier node's goal test, expansion, and
-//   per-successor fingerprint + heuristic estimate fan out across `pool`,
-//   one task per node. Workers touch only their own Prepared slot and the
-//   problem's const surface (which MappingProblem makes thread-safe);
-//   instrumentation, tracing, and the dedup set are never touched here.
+// Each depth level runs in two phases:
 //
-//   Phase B (sequential): the calling thread merges results in frontier
-//   index order, replaying the exact control flow of BeamSearch —
-//   budget-guard check, examined count, best-h update, goal test, then
-//   successor dedup against `seen` in generation order.
+//   Phase A (only with a `pool` of more than one worker): each frontier
+//   node's goal test, expansion, and per-successor fingerprint + estimate
+//   run as one pool task. Workers touch only their own Prepared slot and
+//   the problem's const surface (which MappingProblem makes thread-safe).
 //
-// Because the dedup set, the budget guard, and every stats update are
-// driven in the same order as the sequential algorithm, the returned
-// SearchOutcome is bit-identical to BeamSearch on the same problem and
-// limits (the only divergence channel is the expand transposition cache's
-// LRU order, which can shift AuxMemoryNodes after an eviction; see
-// docs/PERFORMANCE.md). A worker that observes the CancelToken skips its
-// expansion; the merge phase recomputes such slots inline, so even a
-// cancellation race cannot change the result — it only costs parallelism.
+//   Phase B (the calling thread, in frontier order): budget check,
+//   examined count, best-h update, goal test, then successor dedup
+//   against `seen` in generation order. A node without a Phase A result
+//   (no pool, or a worker that saw the CancelToken and bowed out) is
+//   goal-tested and expanded here, and only the successors that survive
+//   dedup are estimated, in one batch — so the pool-free beam does no
+//   heuristic work on duplicates.
 //
-// Falls back to BeamSearch when `pool` is null or has a single worker.
+// The dedup set, the budget guard, and every stats update run in the same
+// order either way, so the SearchOutcome does not depend on the pool (the
+// only divergence channel is the expand transposition cache's LRU order,
+// which can shift AuxMemoryNodes after an eviction; see
+// docs/PERFORMANCE.md).
 //
-// Checkpointing mirrors BeamSearch exactly: snapshots are offered at the
-// level barrier (the sequential point between Phase B of one level and
-// Phase A of the next), and a frontier-carrying `seed` resumes the level
-// loop with bit-identical continuation.
+// Tracing: each level opens with an "iteration" instant whose value is the
+// frontier's smallest h — the beam's analog of IDA*'s f-bound, and the
+// easiest way to see a beam stall (the best h stops falling).
 //
-// Instruments (beyond search.*): beam.parallel.levels counts level
-// barriers, beam.parallel.tasks the node-expansion tasks fanned out.
+// Checkpointing: the level barrier is the beam's checkpoint boundary (the
+// only point where its state is a compact frontier). When a sink is
+// installed it is offered a snapshot — frontier, dedup set, level index —
+// at the top of each level; a `seed` carrying a frontier resumes the level
+// loop exactly where that snapshot was taken, with bit-identical
+// continuation.
+//
+// Instruments (beyond search.*), pooled levels only: beam.parallel.levels
+// counts level barriers, beam.parallel.tasks the node-expansion tasks.
 template <typename P>
 SearchOutcome<typename P::Action> ParallelBeamSearch(
     const P& problem, size_t beam_width, ThreadPool* pool,
     const SearchLimits& limits = SearchLimits(),
-    SearchTracer* tracer = nullptr, obs::MetricRegistry* metrics = nullptr,
+    obs::MetricRegistry* metrics = nullptr,
     const SearchSeed<typename P::State, typename P::Action>* seed = nullptr,
     obs::TraceSession* trace = nullptr) {
   using Action = typename P::Action;
   using State = typename P::State;
 
-  if (pool == nullptr || pool->size() <= 1) {
-    return BeamSearch(problem, beam_width, limits, tracer, metrics, seed,
-                      trace);
-  }
-
-  SearchOutcome<Action> outcome;
-  SearchInstrumentation instr(metrics);
-  SearchTraceEmitter emit(tracer, trace);
-  obs::TraceSpan search_span(trace, obs::TraceCategory::kSearch,
-                             "search.parallel_beam", "workers",
-                             static_cast<int64_t>(pool->size()));
-  if (beam_width == 0) return outcome;
-  auto* sink = ResolveCheckpointSink<State, Action>(limits);
+  if (pool != nullptr && pool->size() <= 1) pool = nullptr;
+  SearchContext<P> ctx(
+      problem, limits, metrics, trace,
+      pool != nullptr ? "search.parallel_beam" : "search.beam",
+      pool != nullptr ? "workers" : nullptr,
+      pool != nullptr ? static_cast<int64_t>(pool->size()) : 0);
+  if (beam_width == 0) return ctx.Finish();
 
   obs::Counter* levels = nullptr;
   obs::Counter* tasks = nullptr;
-  if (metrics != nullptr) {
+  if (metrics != nullptr && pool != nullptr) {
     levels = &metrics->GetCounter("beam.parallel.levels");
     tasks = &metrics->GetCounter("beam.parallel.tasks");
   }
@@ -83,47 +84,45 @@ SearchOutcome<typename P::Action> ParallelBeamSearch(
     std::vector<Action> path;
     int64_t h;
   };
+  auto by_h = [](const Node& a, const Node& b) { return a.h < b.h; };
 
-  using SuccList = decltype(problem.Expand(problem.initial_state()));
-
-  // One slot per frontier node, written by exactly one worker task and
-  // read by the merge phase after the WaitGroup barrier (which provides
-  // the happens-before edge). `ready` is false only when the worker bowed
-  // out on a cancelled token.
+  // One node's goal test, expansion and successor fingerprints. A Phase A
+  // slot is written by exactly one worker task and read by Phase B after
+  // the WaitGroup barrier (which provides the happens-before edge). `hs`
+  // is empty until the successors are estimated.
   struct Prepared {
     bool ready = false;
     bool is_goal = false;
-    SuccList successors;
+    decltype(problem.Expand(problem.initial_state())) successors;
     std::vector<Fp128> keys;
-    std::vector<int64_t> hs;
+    std::vector<int> hs;
   };
-
-  auto prepare = [&problem, &limits, trace](const Node& node,
-                                            Prepared& slot) {
-    // Emitted on whichever thread runs the task, so Phase A work lands on
-    // the worker's own track in the trace.
-    obs::TraceSpan prep_span(trace, obs::TraceCategory::kSearch,
-                             "beam.prepare");
-    if (problem.IsGoal(node.state)) {
-      slot.is_goal = true;
-      slot.ready = true;
-      return;
-    }
+  auto expand = [&problem, &limits](const Node& node, Prepared& slot) {
+    slot.ready = true;
+    slot.is_goal = problem.IsGoal(node.state);
+    if (slot.is_goal) return;
     slot.successors = GuardedExpand(problem, node.state, limits.quarantine);
     slot.keys.reserve(slot.successors.size());
-    std::vector<const State*> succ_states;
-    succ_states.reserve(slot.successors.size());
     for (const auto& succ : slot.successors) {
       slot.keys.push_back(StateFingerprint(problem, succ.state));
-      succ_states.push_back(&succ.state);
     }
-    // One batched heuristic round-trip per expansion; identical values
-    // to the old per-successor EstimateCost loop (see EstimateCosts).
-    const std::vector<int> hs = EstimateCosts(problem, succ_states);
-    slot.hs.assign(hs.begin(), hs.end());
-    slot.ready = true;
+  };
+  // Phase A's task: runs on a worker, so its span lands on that worker's
+  // trace track, and estimates every successor in one batch.
+  auto prepare = [&problem, &expand, trace](const Node& node,
+                                            Prepared& slot) {
+    obs::TraceSpan prep_span(trace, obs::TraceCategory::kSearch,
+                             "beam.prepare");
+    expand(node, slot);
+    std::vector<const State*> succ_states;
+    succ_states.reserve(slot.successors.size());
+    for (const auto& succ : slot.successors) succ_states.push_back(&succ.state);
+    if (!slot.is_goal) slot.hs = EstimateCosts(problem, succ_states);
   };
 
+  // Dedup on the full 128-bit identity: a 64-bit collision here would
+  // silently drop a distinct reachable state from the (already
+  // incomplete) beam.
   std::unordered_set<Fp128, Fp128Hash> seen;
   std::vector<Node> frontier;
   int start_depth = 0;
@@ -143,23 +142,14 @@ SearchOutcome<typename P::Action> ParallelBeamSearch(
     frontier.push_back(Node{root, {}, problem.EstimateCost(root)});
   }
 
-  BudgetGuard guard(limits);
   WaitGroup wg;
 
   for (int depth = start_depth; depth <= limits.max_depth; ++depth) {
-    // The memory proxy is computed before the fan-out, like the sequential
-    // loop computes it before any of the level's expansions.
-    uint64_t nodes = static_cast<uint64_t>(frontier.size() + seen.size()) +
-                     AuxMemoryNodes(problem);
-    outcome.stats.peak_memory_nodes =
-        std::max(outcome.stats.peak_memory_nodes, nodes);
-    instr.OnPeakMemory(nodes);
-    if (sink != nullptr &&
-        sink->WantSnapshot(outcome.stats.states_examined)) {
-      SearchSeed<State, Action> snap;
-      snap.states_examined = outcome.stats.states_examined;
-      snap.best_path = outcome.best_path;
-      snap.best_h = outcome.best_h;
+    // The memory proxy is taken once per level, before any expansion.
+    const uint64_t nodes = ctx.MemoryNodes(
+        static_cast<uint64_t>(frontier.size() + seen.size()));
+    ctx.RecordPeak(nodes);
+    ctx.OfferSnapshot([&](SearchSeed<State, Action>& snap) {
       snap.beam_depth = depth;
       snap.frontier.reserve(frontier.size());
       for (const Node& node : frontier) {
@@ -167,21 +157,19 @@ SearchOutcome<typename P::Action> ParallelBeamSearch(
       }
       snap.closed.reserve(seen.size());
       for (const Fp128& fp : seen) snap.closed.emplace_back(fp, 0);
-      sink->OnSnapshot(std::move(snap));
-    }
-    int64_t level_best_h = frontier.front().h;
-    for (const Node& node : frontier) {
-      level_best_h = std::min(level_best_h, node.h);
-    }
-    if (emit.enabled()) emit.Iteration(depth, level_best_h);
+    });
+    const int64_t level_best_h =
+        std::min_element(frontier.begin(), frontier.end(), by_h)->h;
+    ctx.Iteration(depth, level_best_h);
     if (levels != nullptr) levels->Increment();
     obs::TraceSpan level_span(trace, obs::TraceCategory::kSearch,
                               "beam.level", "level", depth, "best_h",
                               level_best_h);
 
-    // Phase A: fan the frontier out across the pool.
-    std::vector<Prepared> prepared(frontier.size());
-    {
+    // Phase A: fan the frontier out across the pool. Without one, a
+    // single slot is reused for each node in turn.
+    std::vector<Prepared> prepared(pool != nullptr ? frontier.size() : 1);
+    if (pool != nullptr) {
       obs::TraceSpan fan_span(trace, obs::TraceCategory::kSearch,
                               "beam.phase_a", "tasks",
                               static_cast<int64_t>(frontier.size()));
@@ -208,74 +196,71 @@ SearchOutcome<typename P::Action> ParallelBeamSearch(
     }
 
     // Phase B: sequential merge in frontier order.
-    obs::TraceSpan merge_span(trace, obs::TraceCategory::kSearch,
-                              "beam.phase_b");
+    obs::TraceSpan merge_span(pool != nullptr ? trace : nullptr,
+                              obs::TraceCategory::kSearch, "beam.phase_b");
     std::vector<Node> next_level;
     for (size_t i = 0; i < frontier.size(); ++i) {
       Node& node = frontier[i];
-      if (std::optional<StopReason> stop =
-              guard.Check(outcome.stats.states_examined, 0, nodes)) {
-        outcome.stop = *stop;
-        outcome.budget_exhausted = IsResourceStop(*stop);
-        return outcome;
-      }
-      ++outcome.stats.states_examined;
-      instr.OnVisit(problem.StateKey(node.state));
-      if (outcome.best_h < 0 || node.h < outcome.best_h) {
-        outcome.best_h = static_cast<int>(node.h);
-        outcome.best_path = node.path;
-      }
-      if (emit.enabled()) {
-        emit.Visit(problem.StateKey(node.state), depth, node.h);
+      // Depth is bounded by the level loop itself; pass 0 so the guard
+      // only trips states/memory/deadline/cancel here.
+      if (ctx.OverBudget(0, nodes)) return ctx.Finish();
+      if (ctx.Visit(node.state, depth, static_cast<int>(node.h), node.h)) {
+        ctx.out.best_path = node.path;
       }
 
-      Prepared& prep = prepared[i];
-      if (!prep.ready) prepare(node, prep);  // worker skipped on cancel
-
+      Prepared& prep = prepared[pool != nullptr ? i : 0];
+      if (!prep.ready) expand(node, prep);
       if (prep.is_goal) {
-        if (emit.enabled()) {
-          emit.Goal(problem.StateKey(node.state), depth, node.h);
-        }
-        outcome.found = true;
-        outcome.stop = StopReason::kFound;
-        outcome.stats.solution_cost = static_cast<int>(node.path.size());
-        outcome.path = std::move(node.path);
-        outcome.best_path = outcome.path;
-        outcome.best_h = 0;
-        return outcome;
+        ctx.Goal(std::move(node.path));
+        return ctx.Finish();
       }
 
-      outcome.stats.states_generated += prep.successors.size();
-      instr.OnExpand(prep.successors.size());
+      ctx.CountExpand(prep.successors.size());
+      std::vector<size_t> fresh;
+      std::vector<const State*> fresh_states;
+      std::vector<int> fresh_hs;
       for (size_t s = 0; s < prep.successors.size(); ++s) {
         if (!seen.insert(prep.keys[s]).second) {
-          instr.OnDuplicateHit();
+          ctx.DuplicateHit();
           continue;
         }
-        std::vector<Action> path = node.path;
-        path.push_back(std::move(prep.successors[s].action));
-        next_level.push_back(Node{std::move(prep.successors[s].state),
-                                  std::move(path), prep.hs[s]});
+        fresh.push_back(s);
+        fresh_states.push_back(&prep.successors[s].state);
+        if (!prep.hs.empty()) fresh_hs.push_back(prep.hs[s]);
       }
+      // Not estimated in Phase A: estimate only the survivors, in one batch.
+      if (prep.hs.empty()) fresh_hs = EstimateCosts(problem, fresh_states);
+      for (size_t k = 0; k < fresh.size(); ++k) {
+        auto& succ = prep.successors[fresh[k]];
+        std::vector<Action> path = node.path;
+        path.push_back(std::move(succ.action));
+        next_level.push_back(
+            Node{std::move(succ.state), std::move(path), fresh_hs[k]});
+      }
+      prep = Prepared{};
     }
-    if (next_level.empty()) return outcome;  // beam ran dry
+    if (next_level.empty()) return ctx.Finish();  // beam ran dry
 
-    // Keep the beam_width best by h (stable within ties), narrowed by the
-    // same supervisor width pressure as the sequential beam.
+    // Keep the beam_width best by h (stable within ties). The supervisor
+    // can narrow the effective width mid-run via width pressure (staged
+    // memory degradation); pressure-free this is the configured width.
     const size_t level_width =
         EffectiveBeamWidth(beam_width, limits.width_pressure);
     if (next_level.size() > level_width) {
-      emit.BeamDrop(depth,
-                    static_cast<int64_t>(next_level.size() - level_width));
-      std::stable_sort(next_level.begin(), next_level.end(),
-                       [](const Node& a, const Node& b) { return a.h < b.h; });
+      if (trace != nullptr) {
+        trace->EmitInstant(
+            obs::TraceCategory::kSearch, "beam.dropped", "dropped",
+            static_cast<int64_t>(next_level.size() - level_width), "level",
+            depth);
+      }
+      std::stable_sort(next_level.begin(), next_level.end(), by_h);
       next_level.resize(level_width);
     }
     frontier = std::move(next_level);
   }
-  outcome.stop = StopReason::kDepth;  // level loop ran out of depth budget
-  outcome.budget_exhausted = true;
-  return outcome;
+  ctx.out.stop = StopReason::kDepth;  // level loop ran out of depth budget
+  ctx.out.budget_exhausted = true;
+  return ctx.Finish();
 }
 
 }  // namespace tupelo

@@ -6,9 +6,8 @@
 #include <utility>
 #include <vector>
 
-#include "search/instrumentation.h"
+#include "search/context.h"
 #include "search/search_types.h"
-#include "search/trace.h"
 
 namespace tupelo {
 
@@ -33,19 +32,14 @@ namespace tupelo {
 template <typename P>
 SearchOutcome<typename P::Action> RbfsSearch(
     const P& problem, const SearchLimits& limits = SearchLimits(),
-    SearchTracer* tracer = nullptr, obs::MetricRegistry* metrics = nullptr,
+    obs::MetricRegistry* metrics = nullptr,
     const SearchSeed<typename P::State, typename P::Action>* seed = nullptr,
     obs::TraceSession* trace = nullptr) {
   using Action = typename P::Action;
   using State = typename P::State;
   (void)seed;  // restart-from-root semantics; see header comment
 
-  SearchOutcome<Action> outcome;
-  SearchInstrumentation instr(metrics);
-  SearchTraceEmitter emit(tracer, trace);
-  obs::TraceSpan search_span(trace, obs::TraceCategory::kSearch,
-                             "search.rbfs");
-  auto* sink = ResolveCheckpointSink<State, Action>(limits);
+  SearchContext<P> ctx(problem, limits, metrics, trace, "search.rbfs");
 
   struct Child {
     Action action;
@@ -56,78 +50,42 @@ SearchOutcome<typename P::Action> RbfsSearch(
   };
 
   struct Rec {
-    const P& problem;
-    const SearchLimits& limits;
-    SearchOutcome<Action>& out;
-    SearchTraceEmitter& emit;
-    SearchInstrumentation& instr;
-    BudgetGuard& guard;
-    CheckpointSink<State, Action>* sink;
+    SearchContext<P>& ctx;
     std::vector<Action> path_actions;
     std::unordered_set<Fp128, Fp128Hash> path_keys;
-    StopReason abort_reason = StopReason::kExhausted;
-    bool aborted = false;
 
     // Returns (found, backed-up f-value). `static_f` is g + h of `state`;
     // `stored_f` its current backed-up value (≥ static_f).
     std::pair<bool, int64_t> Visit(const State& state, int64_t g,
                                    int64_t static_f, int64_t stored_f,
                                    int64_t f_limit) {
-      uint64_t memory_nodes =
-          static_cast<uint64_t>(g) + 1 + AuxMemoryNodes(problem);
-      if (std::optional<StopReason> stop = guard.Check(
-              out.stats.states_examined, g, memory_nodes)) {
-        aborted = true;
-        abort_reason = *stop;
-        return {false, kSearchInfinity};
+      const uint64_t memory_nodes =
+          ctx.MemoryNodes(static_cast<uint64_t>(g) + 1);
+      if (ctx.OverBudget(g, memory_nodes)) return {false, kSearchInfinity};
+      if (ctx.guard.checkpoint_due()) {
+        // Progress only; no resumable core.
+        ctx.OfferSnapshot([](SearchSeed<State, Action>&) {});
       }
-      if (sink != nullptr && guard.checkpoint_due() &&
-          sink->WantSnapshot(out.stats.states_examined)) {
-        SearchSeed<State, Action> snap;  // progress only; no resumable core
-        snap.states_examined = out.stats.states_examined;
-        snap.best_path = out.best_path;
-        snap.best_h = out.best_h;
-        sink->OnSnapshot(std::move(snap));
-      }
-      ++out.stats.states_examined;
-      out.stats.peak_memory_nodes =
-          std::max(out.stats.peak_memory_nodes, memory_nodes);
-      instr.OnVisit(problem.StateKey(state));
-      instr.OnPeakMemory(memory_nodes);
-      if (int h = static_cast<int>(static_f - g);
-          out.best_h < 0 || h < out.best_h) {
-        out.best_h = h;
-        out.best_path = path_actions;
-      }
-      if (emit.enabled()) {
-        emit.Visit(problem.StateKey(state), static_cast<int>(g), static_f);
+      ctx.RecordPeak(memory_nodes);
+      if (ctx.Visit(state, g, static_cast<int>(static_f - g), static_f)) {
+        ctx.out.best_path = path_actions;
       }
 
-      if (problem.IsGoal(state)) {
-        if (emit.enabled()) {
-          emit.Goal(problem.StateKey(state), static_cast<int>(g), static_f);
-        }
-        out.found = true;
-        out.stop = StopReason::kFound;
-        out.path = path_actions;
-        out.best_path = path_actions;
-        out.best_h = 0;
-        out.stats.solution_cost = static_cast<int>(g);
+      if (ctx.problem.IsGoal(state)) {
+        ctx.Goal(path_actions);
         return {true, stored_f};
       }
 
-      auto successors = GuardedExpand(problem, state, limits.quarantine);
-      out.stats.states_generated += successors.size();
-      instr.OnExpand(successors.size());
+      auto successors = ctx.Expand(state);
       std::vector<Child> children;
       children.reserve(successors.size());
       for (auto& succ : successors) {
-        Fp128 key = StateFingerprint(problem, succ.state);
+        Fp128 key = StateFingerprint(ctx.problem, succ.state);
         if (path_keys.contains(key)) {
-          instr.OnDuplicateHit();
+          ctx.DuplicateHit();
           continue;
         }
-        int64_t f = g + 1 + problem.EstimateCost(succ.state);
+        int64_t f = g + 1 + ctx.problem.EstimateCost(succ.state);
         // Korf's inheritance: when this node has been explored before
         // (its stored value exceeds its static value), its children's
         // costs are known to be at least the stored value.
@@ -162,27 +120,18 @@ SearchOutcome<typename P::Action> RbfsSearch(
         if (found) return {true, backed_up};
         path_actions.pop_back();
         path_keys.erase(children[best].key);
-        if (aborted) return {false, kSearchInfinity};
+        if (ctx.Stopped()) return {false, kSearchInfinity};
         children[best].stored_f = backed_up;
       }
     }
   };
 
-  BudgetGuard guard(limits);
-  Rec rec{problem, limits, outcome, emit, instr, guard, sink,
-          {},      {},     StopReason::kExhausted, false};
+  Rec rec{ctx, {}, {}};
   const State& root = problem.initial_state();
   rec.path_keys.insert(StateFingerprint(problem, root));
-  int64_t root_f = problem.EstimateCost(root);
-  auto [found, backed_up] =
-      rec.Visit(root, 0, root_f, root_f, kSearchInfinity);
-  (void)found;
-  (void)backed_up;
-  if (rec.aborted) {
-    outcome.stop = rec.abort_reason;
-    outcome.budget_exhausted = IsResourceStop(rec.abort_reason);
-  }
-  return outcome;
+  const int64_t root_f = problem.EstimateCost(root);
+  rec.Visit(root, 0, root_f, root_f, kSearchInfinity);
+  return ctx.Finish();
 }
 
 }  // namespace tupelo

@@ -62,12 +62,14 @@ namespace tupelo {
 //   void EstimateCostBatch(std::span<const State* const> states,
 //                          std::span<int> out) const;
 //
-// required to fill out[i] with exactly EstimateCost(*states[i]). The
-// beam-family algorithms funnel whole frontier expansions through it
-// (via EstimateCosts below) so the problem can dedup repeated states and
+// required to fill out[i] with exactly EstimateCost(*states[i]). Beam
+// search funnels each expansion's successors through it (via
+// EstimateCosts below) so the problem can dedup repeated states and
 // amortize per-call setup; problems that omit it get the per-state loop.
 //
 // MappingProblem (src/core) is the real instance; tests use toy problems.
+// The four algorithms (IDA*, RBFS, best-first A*/greedy, beam) share their
+// plumbing through SearchContext (context.h).
 
 inline constexpr int64_t kSearchInfinity =
     std::numeric_limits<int64_t>::max() / 4;
@@ -306,10 +308,9 @@ auto GuardedExpand(const Problem& problem, const State& state,
 }
 
 // Type-erased base for CheckpointSink<State, Action> so SearchLimits can
-// carry a sink without being templated. The algorithms downcast with
-// ResolveCheckpointSink<State, Action>(); a sink instantiated for other
-// state/action types simply resolves to null (no checkpointing) instead
-// of misbehaving.
+// carry a sink without being templated. SearchContext downcasts it once
+// per search call; a sink instantiated for other state/action types
+// simply resolves to null (no checkpointing) instead of misbehaving.
 class CheckpointSinkBase {
  public:
   virtual ~CheckpointSinkBase() = default;
@@ -322,14 +323,14 @@ class CheckpointSinkBase {
 //   * IDA*: `ida_bound`, the current iteration's f-bound. Resuming
 //     restarts iterative deepening at that bound; the completed shallower
 //     iterations are not repeated.
-//   * Beam / parallel beam: the whole frontier (states + paths + h) and
+//   * Beam (pooled or not): the whole frontier (states + paths + h) and
 //     the dedup set (`closed` fingerprints) at a level barrier, plus
 //     `beam_depth`. Resuming continues the level loop exactly where the
 //     snapshot was taken.
-//   * A* / greedy: the open list (paths, insertion sequence numbers) and
-//     the closed/best-g map. States and f/h values are reconstructed
-//     deterministically on resume, and preserved `seq` numbers keep the
-//     FIFO tiebreaks — continuation is order-identical.
+//   * A* / greedy (best-first): the open list (paths, insertion sequence
+//     numbers) and the closed map. States and f/h values are
+//     reconstructed deterministically on resume, and preserved `seq`
+//     numbers keep the FIFO tiebreaks — continuation is order-identical.
 //   * RBFS: no per-algorithm seed (its backed-up-value recursion has no
 //     compact frontier); resuming restarts the rung from the root, which
 //     is result-equivalent because the search is deterministic.
@@ -367,8 +368,8 @@ struct SearchSeed {
   std::vector<OpenNode> open;
   uint64_t next_seq = 0;
 
-  // Dedup/closed map: fingerprint -> best g (A*); g is 0 and ignored for
-  // the membership-only sets of beam and greedy.
+  // Dedup/closed map: fingerprint -> best g (A*). Beam and greedy keep
+  // membership-only sets: they write g = 0 and never read it on resume.
   std::vector<std::pair<Fp128, int64_t>> closed;
 };
 
@@ -439,19 +440,9 @@ inline size_t EffectiveBeamWidth(size_t beam_width,
   return width == 0 ? 1 : width;
 }
 
-// The concrete sink for a problem's state/action types, or null when no
-// sink is installed (or one of the wrong instantiation is). Resolved once
-// per search call.
-template <typename State, typename Action>
-CheckpointSink<State, Action>* ResolveCheckpointSink(
-    const SearchLimits& limits) {
-  return dynamic_cast<CheckpointSink<State, Action>*>(limits.checkpoint_sink);
-}
-
 // Shared limit-tripping logic for the search algorithms: one object per
-// search call, consulted once per visited state. Centralizes the
-// states/depth/memory comparisons the five algorithms used to re-implement
-// and owns the amortized deadline/cancel poll.
+// search call (owned by its SearchContext), consulted once per visited
+// state. Owns the amortized deadline/cancel poll.
 class BudgetGuard {
  public:
   explicit BudgetGuard(const SearchLimits& limits)

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,7 +20,6 @@
 #include "heuristics/heuristic_factory.h"
 #include "obs/metrics.h"
 #include "relational/database.h"
-#include "search/beam.h"
 #include "search/parallel_beam.h"
 #include "search/search_types.h"
 #include "workloads/synthetic.h"
@@ -322,6 +322,20 @@ void ExpectIdenticalOutcomes(const Outcome& seq, const Outcome& par) {
   EXPECT_EQ(seq.stats.peak_memory_nodes, par.stats.peak_memory_nodes);
 }
 
+// The number line with a batched heuristic that counts the states it
+// estimates.
+struct BatchNumberLineProblem : NumberLineProblem {
+  mutable std::atomic<uint64_t> estimated{0};
+
+  void EstimateCostBatch(std::span<const State* const> states,
+                         std::span<int> out) const {
+    estimated.fetch_add(states.size(), std::memory_order_relaxed);
+    for (size_t i = 0; i < states.size(); ++i) {
+      out[i] = EstimateCost(*states[i]);
+    }
+  }
+};
+
 TEST(ParallelBeamTest, BitIdenticalToSequentialOnToyProblem) {
   NumberLineProblem p;
   p.goal = 40;
@@ -329,10 +343,21 @@ TEST(ParallelBeamTest, BitIdenticalToSequentialOnToyProblem) {
   limits.max_depth = 100;
   ThreadPool pool(4);
 
-  auto seq = BeamSearch(p, 4, limits);
+  auto seq = ParallelBeamSearch(p, 4, nullptr, limits);
   auto par = ParallelBeamSearch(p, 4, &pool, limits);
   ASSERT_TRUE(seq.found);
   ExpectIdenticalOutcomes(seq, par);
+
+  // With a batched heuristic, Phase A estimates every successor while the
+  // inline path estimates only those that survive dedup: same outcome.
+  BatchNumberLineProblem inline_p;
+  BatchNumberLineProblem pooled_p;
+  inline_p.goal = pooled_p.goal = 40;
+  auto inline_out = ParallelBeamSearch(inline_p, 4, nullptr, limits);
+  auto pooled_out = ParallelBeamSearch(pooled_p, 4, &pool, limits);
+  ASSERT_TRUE(inline_out.found);
+  ExpectIdenticalOutcomes(inline_out, pooled_out);
+  EXPECT_LT(inline_p.estimated.load(), pooled_p.estimated.load());
 }
 
 TEST(ParallelBeamTest, BitIdenticalWhenBudgetTrips) {
@@ -343,7 +368,7 @@ TEST(ParallelBeamTest, BitIdenticalWhenBudgetTrips) {
   limits.max_depth = 200000;
   ThreadPool pool(4);
 
-  auto seq = BeamSearch(p, 8, limits);
+  auto seq = ParallelBeamSearch(p, 8, nullptr, limits);
   auto par = ParallelBeamSearch(p, 8, &pool, limits);
   ASSERT_FALSE(seq.found);
   EXPECT_EQ(seq.stop, StopReason::kStates);
@@ -360,7 +385,7 @@ TEST(ParallelBeamTest, BitIdenticalOnMappingProblem) {
   limits.max_depth = 12;
   ThreadPool pool(4);
 
-  auto seq = BeamSearch(seq_problem, 8, limits);
+  auto seq = ParallelBeamSearch(seq_problem, 8, nullptr, limits);
   auto par = ParallelBeamSearch(par_problem, 8, &pool, limits);
   ASSERT_TRUE(seq.found);
   ExpectIdenticalOutcomes(seq, par);
@@ -373,7 +398,7 @@ TEST(ParallelBeamTest, NullOrSingleWorkerPoolFallsBack) {
   limits.max_depth = 20;
   ThreadPool one(1);
 
-  auto seq = BeamSearch(p, 4, limits);
+  auto seq = ParallelBeamSearch(p, 4, nullptr, limits);
   ExpectIdenticalOutcomes(seq, ParallelBeamSearch(p, 4, nullptr, limits));
   ExpectIdenticalOutcomes(seq, ParallelBeamSearch(p, 4, &one, limits));
 }
@@ -402,7 +427,7 @@ TEST(ParallelBeamTest, RecordsParallelInstruments) {
   ThreadPool pool(4);
   obs::MetricRegistry metrics;
 
-  auto out = ParallelBeamSearch(p, 4, &pool, limits, nullptr, &metrics);
+  auto out = ParallelBeamSearch(p, 4, &pool, limits, &metrics);
   ASSERT_TRUE(out.found);
   EXPECT_GE(metrics.GetCounter("beam.parallel.levels").value(), 1u);
   // At least one task per level, and one task per frontier node overall.

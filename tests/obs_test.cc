@@ -211,6 +211,17 @@ TEST(JsonValueTest, ParseRejectsMalformedInput) {
   EXPECT_FALSE(JsonValue::Parse("{\"a\" 1}").ok());
 }
 
+TEST(JsonValueTest, ParseRejectsRunawayNestingWithoutRecursingPastTheLimit) {
+  // A megabyte of '[' would recurse once per byte and overflow the stack.
+  Result<JsonValue> deep = JsonValue::Parse(std::string(1 << 20, '['));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_NE(deep.status().message().find("nests deeper"), std::string::npos)
+      << deep.status();
+  // Moderate nesting (well past anything the repo writes) still parses.
+  std::string nested = std::string(100, '[') + std::string(100, ']');
+  EXPECT_TRUE(JsonValue::Parse(nested).ok());
+}
+
 TEST(JsonValueTest, ParseDecodesEscapes) {
   Result<JsonValue> v = JsonValue::Parse("\"tab\\tnewline\\nu\\u0041\"");
   ASSERT_TRUE(v.ok());

@@ -3,18 +3,20 @@
 #include <chrono>
 #include <cstdlib>
 #include <map>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "search/a_star.h"
-#include "search/beam.h"
 #include "search/greedy.h"
 #include "search/ida_star.h"
+#include "search/parallel_beam.h"
 #include "search/rbfs.h"
 #include "search/search_types.h"
-#include "search/trace.h"
 
 namespace tupelo {
 namespace {
@@ -303,7 +305,7 @@ TEST_P(AllAlgorithms, DistinctStatesSharingLow64BitsAreNotDeduped) {
 
 TEST(BeamTest, DistinctStatesSharingLow64BitsAreNotDeduped) {
   CollidingLowBitsProblem p;
-  auto out = BeamSearch(p, 4);
+  auto out = ParallelBeamSearch(p, 4, nullptr);
   ASSERT_TRUE(out.found);
   EXPECT_EQ(out.stats.solution_cost, 2);
   EXPECT_EQ(out.path, (std::vector<int>{1, 2}));
@@ -386,7 +388,7 @@ TEST(BeamTest, FindsGoalWithGoodHeuristic) {
   p.goal = 50;
   SearchLimits limits;
   limits.max_depth = 100;
-  auto out = BeamSearch(p, 4, limits);
+  auto out = ParallelBeamSearch(p, 4, nullptr, limits);
   ASSERT_TRUE(out.found);
   EXPECT_EQ(out.stats.solution_cost, 50);
   // Beam examines at most width × depth states.
@@ -400,17 +402,17 @@ TEST(BeamTest, IsIncompleteWhenGoalLeavesBeam) {
   p.edges = {{0, {1, 2}}, {1, {3}}, {3, {}}, {2, {9}}};
   p.goal = 9;
   p.h = {{1, 0}, {3, 0}, {2, 5}, {9, 0}};
-  auto narrow = BeamSearch(p, 1);
+  auto narrow = ParallelBeamSearch(p, 1, nullptr);
   EXPECT_FALSE(narrow.found);
   // A wider beam keeps the alternative alive.
-  auto wide = BeamSearch(p, 2);
+  auto wide = ParallelBeamSearch(p, 2, nullptr);
   EXPECT_TRUE(wide.found);
 }
 
 TEST(BeamTest, ZeroWidthFindsNothing) {
   GraphProblem p;
   p.goal = 0;
-  auto out = BeamSearch(p, 0);
+  auto out = ParallelBeamSearch(p, 0, nullptr);
   EXPECT_FALSE(out.found);
 }
 
@@ -420,7 +422,7 @@ TEST(BeamTest, BudgetAborts) {
   SearchLimits limits;
   limits.max_states = 20;
   limits.max_depth = 2000;
-  auto out = BeamSearch(p, 8, limits);
+  auto out = ParallelBeamSearch(p, 8, nullptr, limits);
   EXPECT_FALSE(out.found);
   EXPECT_TRUE(out.budget_exhausted);
 }
@@ -428,9 +430,89 @@ TEST(BeamTest, BudgetAborts) {
 TEST(BeamTest, GoalAtRoot) {
   GraphProblem p;
   p.start = p.goal = 3;
-  auto out = BeamSearch(p, 2);
+  auto out = ParallelBeamSearch(p, 2, nullptr);
   EXPECT_TRUE(out.found);
   EXPECT_EQ(out.stats.solution_cost, 0);
+}
+
+// A number line whose heuristic calls are counted: `per_state` direct
+// EstimateCost calls, `batches` EstimateCostBatch calls, and `estimated`
+// states across both.
+struct CountingNumberLineProblem : NumberLineProblem {
+  mutable uint64_t per_state = 0;
+  mutable uint64_t batches = 0;
+  mutable uint64_t estimated = 0;
+
+  int EstimateCost(const State& s) const {
+    ++per_state;
+    ++estimated;
+    return NumberLineProblem::EstimateCost(s);
+  }
+  void EstimateCostBatch(std::span<const State* const> states,
+                         std::span<int> out) const {
+    ++batches;
+    estimated += states.size();
+    for (size_t i = 0; i < states.size(); ++i) {
+      out[i] = NumberLineProblem::EstimateCost(*states[i]);
+    }
+  }
+};
+
+TEST(BeamTest, InlineBeamEstimatesOnlyDeduplicatedSuccessors) {
+  CountingNumberLineProblem p;
+  p.goal = 12;
+  SearchLimits limits;
+  limits.max_depth = 30;
+  obs::MetricRegistry registry;
+  auto out = ParallelBeamSearch(p, 4, nullptr, limits, &registry);
+  ASSERT_TRUE(out.found);
+  const uint64_t duplicates = registry.CounterValue("search.duplicate_hits");
+  // Both directions revisit the previous level, so dedup has work to do.
+  ASSERT_GT(duplicates, 0u);
+  // The root is estimated directly; every expansion makes one batch call
+  // covering exactly the successors that survived dedup.
+  EXPECT_EQ(p.per_state, 1u);
+  EXPECT_EQ(p.batches, registry.CounterValue("search.expansions"));
+  EXPECT_EQ(p.estimated, 1 + out.stats.states_generated - duplicates);
+}
+
+// Captures the first snapshot offered at or after `due` states.
+struct CapturingSink : CheckpointSink<int, int> {
+  uint64_t due = 0;
+  std::optional<SearchSeed<int, int>> seed;
+
+  bool WantSnapshot(uint64_t states_examined) override {
+    return !seed && states_examined >= due;
+  }
+  void OnSnapshot(SearchSeed<int, int> snap) override {
+    seed = std::move(snap);
+  }
+};
+
+TEST(GreedyTest, ResumesFromSeedWhoseClosedEntriesCarryZeroG) {
+  NumberLineProblem p;
+  p.goal = 40;
+  CapturingSink sink;
+  sink.due = 12;
+  SearchLimits limits;
+  limits.max_depth = 100;
+  limits.check_interval = 4;
+  limits.checkpoint_sink = &sink;
+  auto full = GreedySearch(p, limits);
+  ASSERT_TRUE(full.found);
+  ASSERT_TRUE(sink.seed.has_value());
+  ASSERT_FALSE(sink.seed->open.empty());
+  ASSERT_FALSE(sink.seed->closed.empty());
+  // Greedy writes membership-only closed entries: g is always 0.
+  for (const auto& [fp, g] : sink.seed->closed) EXPECT_EQ(g, 0);
+
+  limits.checkpoint_sink = nullptr;
+  auto resumed = GreedySearch(p, limits, nullptr, &*sink.seed);
+  EXPECT_EQ(resumed.found, full.found);
+  EXPECT_EQ(resumed.stop, full.stop);
+  EXPECT_EQ(resumed.path, full.path);
+  EXPECT_EQ(sink.seed->states_examined + resumed.stats.states_examined,
+            full.stats.states_examined);
 }
 
 // ---------------------------------------------------------------------------
@@ -557,25 +639,28 @@ TEST(BeamTest, StopReasonsAcrossLimits) {
   SearchLimits states;
   states.max_states = 20;
   states.max_depth = 2000;
-  EXPECT_EQ(BeamSearch(p, 8, states).stop, StopReason::kStates);
+  EXPECT_EQ(ParallelBeamSearch(p, 8, nullptr, states).stop,
+            StopReason::kStates);
 
   SearchLimits depth;
   depth.max_depth = 10;
-  auto out = BeamSearch(p, 8, depth);
+  auto out = ParallelBeamSearch(p, 8, nullptr, depth);
   EXPECT_EQ(out.stop, StopReason::kDepth);
   EXPECT_TRUE(out.budget_exhausted);
 
   SearchLimits memory;
   memory.max_depth = 2000;
   memory.max_memory_nodes = 30;
-  EXPECT_EQ(BeamSearch(p, 8, memory).stop, StopReason::kMemory);
+  EXPECT_EQ(ParallelBeamSearch(p, 8, nullptr, memory).stop,
+            StopReason::kMemory);
 
   CancelToken token;
   token.Cancel();
   SearchLimits cancel;
   cancel.max_depth = 2000;
   cancel.cancel = &token;
-  EXPECT_EQ(BeamSearch(p, 8, cancel).stop, StopReason::kCancelled);
+  EXPECT_EQ(ParallelBeamSearch(p, 8, nullptr, cancel).stop,
+            StopReason::kCancelled);
 }
 
 TEST(BeamTest, AnytimeBestPathSurvivesStatesTrip) {
@@ -584,7 +669,7 @@ TEST(BeamTest, AnytimeBestPathSurvivesStatesTrip) {
   SearchLimits limits;
   limits.max_states = 40;
   limits.max_depth = 2000;
-  auto out = BeamSearch(p, 4, limits);
+  auto out = ParallelBeamSearch(p, 4, nullptr, limits);
   ASSERT_FALSE(out.found);
   EXPECT_FALSE(out.best_path.empty());
   EXPECT_GT(out.best_h, 0);
@@ -595,7 +680,7 @@ TEST(BeamTest, RanDryIsExhaustedNotResourceStop) {
   GraphProblem p;
   p.edges = {{0, {1}}, {1, {}}};
   p.goal = 9;
-  auto out = BeamSearch(p, 4, SearchLimits());
+  auto out = ParallelBeamSearch(p, 4, nullptr, SearchLimits());
   EXPECT_FALSE(out.found);
   EXPECT_EQ(out.stop, StopReason::kExhausted);
   EXPECT_FALSE(out.budget_exhausted);
@@ -657,96 +742,77 @@ TEST(StopReasonTest, NamesAndClassification) {
 // Tracing
 // ---------------------------------------------------------------------------
 
+// The instant events a search emitted into `session` (spans filtered out).
+std::vector<obs::TraceExportEvent> Instants(obs::TraceSession& session) {
+  std::vector<obs::TraceExportEvent> out;
+  for (obs::TraceExportEvent& e : session.Collect()) {
+    if (e.phase == obs::TracePhase::kInstant) out.push_back(std::move(e));
+  }
+  return out;
+}
+
 TEST(TraceTest, IdaRecordsNonDecreasingBounds) {
   GraphProblem p;
   p.edges = {{0, {1}}, {1, {2}}, {2, {3}}, {3, {4}}};
   p.goal = 4;
-  SearchTracer tracer;
-  auto out = IdaStarSearch(p, SearchLimits(), &tracer);
+  obs::TraceSession session;
+  auto out = IdaStarSearch(p, SearchLimits(), nullptr, nullptr, &session);
   ASSERT_TRUE(out.found);
+  std::vector<obs::TraceExportEvent> events = Instants(session);
   int64_t last_bound = -1;
   size_t iterations = 0;
   size_t visits = 0;
-  for (const TraceEvent& e : tracer.events()) {
-    if (e.kind == TraceEventKind::kIteration) {
-      EXPECT_GT(e.value, last_bound);
-      last_bound = e.value;
+  for (const obs::TraceExportEvent& e : events) {
+    if (e.name == "iteration") {
+      ASSERT_EQ(e.args[0].first, "value");
+      EXPECT_GT(e.args[0].second, last_bound);
+      last_bound = e.args[0].second;
       ++iterations;
-    } else if (e.kind == TraceEventKind::kVisit) {
+    } else if (e.name == "visit") {
       ++visits;
     }
   }
   EXPECT_EQ(iterations, static_cast<size_t>(out.stats.iterations));
   EXPECT_EQ(visits, out.stats.states_examined);
-  EXPECT_EQ(tracer.events().back().kind, TraceEventKind::kGoal);
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.back().name, "goal");
 }
 
 TEST(TraceTest, VisitCountsMatchStatsAcrossAlgorithms) {
   GraphProblem p;
   p.edges = {{0, {1, 2}}, {1, {3}}, {2, {3}}, {3, {4}}};
   p.goal = 4;
-  for (int which = 0; which < 4; ++which) {
-    SearchTracer tracer;
+  for (int which = 0; which < 5; ++which) {
+    obs::TraceSession session;
     SearchOutcome<int> out;
     switch (which) {
       case 0:
-        out = IdaStarSearch(p, SearchLimits(), &tracer);
+        out = IdaStarSearch(p, SearchLimits(), nullptr, nullptr, &session);
         break;
       case 1:
-        out = RbfsSearch(p, SearchLimits(), &tracer);
+        out = RbfsSearch(p, SearchLimits(), nullptr, nullptr, &session);
         break;
       case 2:
-        out = AStarSearch(p, SearchLimits(), &tracer);
+        out = AStarSearch(p, SearchLimits(), nullptr, nullptr, &session);
         break;
       case 3:
-        out = GreedySearch(p, SearchLimits(), &tracer);
+        out = GreedySearch(p, SearchLimits(), nullptr, nullptr, &session);
+        break;
+      case 4:
+        out = ParallelBeamSearch(p, 4, nullptr, SearchLimits(), nullptr,
+                                 nullptr, &session);
         break;
     }
     ASSERT_TRUE(out.found) << which;
     size_t visits = 0;
-    for (const TraceEvent& e : tracer.events()) {
-      if (e.kind == TraceEventKind::kVisit) ++visits;
-      EXPECT_LE(e.depth, out.stats.solution_cost + 8) << which;
+    for (const obs::TraceExportEvent& e : Instants(session)) {
+      if (e.name != "visit") continue;
+      ++visits;
+      ASSERT_EQ(e.args[1].first, "g");
+      EXPECT_LE(e.args[1].second, out.stats.solution_cost + 8) << which;
     }
     EXPECT_EQ(visits, out.stats.states_examined) << which;
   }
-}
-
-TEST(TraceTest, CapacityTruncates) {
-  NumberLineProblem p;
-  p.goal = 100;
-  SearchLimits limits;
-  limits.max_depth = 200;
-  SearchTracer tracer(10);
-  auto out = RbfsSearch(p, limits, &tracer);
-  ASSERT_TRUE(out.found);
-  EXPECT_EQ(tracer.events().size(), 10u);
-  EXPECT_TRUE(tracer.truncated());
-  tracer.Clear();
-  EXPECT_TRUE(tracer.events().empty());
-  EXPECT_FALSE(tracer.truncated());
-}
-
-TEST(TraceTest, ToStringMentionsEveryKind) {
-  SearchTracer tracer;
-  tracer.Record(TraceEvent{TraceEventKind::kIteration, 0, 0, 3});
-  tracer.Record(TraceEvent{TraceEventKind::kVisit, 42, 1, 5});
-  tracer.Record(TraceEvent{TraceEventKind::kGoal, 42, 2, 5});
-  std::string dump = tracer.ToString();
-  EXPECT_NE(dump.find("iteration bound=3"), std::string::npos);
-  EXPECT_NE(dump.find("visit g=1 f=5"), std::string::npos);
-  EXPECT_NE(dump.find("goal  g=2"), std::string::npos);
-}
-
-TEST(TraceTest, ToStringReportsDropCount) {
-  SearchTracer tracer(2);
-  for (int i = 0; i < 5; ++i) {
-    tracer.Record(TraceEvent{TraceEventKind::kVisit, 1, 0, 0});
-  }
-  EXPECT_TRUE(tracer.truncated());
-  EXPECT_EQ(tracer.dropped(), 3u);
-  EXPECT_NE(tracer.ToString().find("truncated: 3 events dropped"),
-            std::string::npos);
 }
 
 TEST(TraceTest, BeamRecordsLevelEvents) {
@@ -754,18 +820,20 @@ TEST(TraceTest, BeamRecordsLevelEvents) {
   p.goal = 10;
   SearchLimits limits;
   limits.max_depth = 20;
-  SearchTracer tracer;
-  auto out = BeamSearch(p, 4, limits, &tracer);
+  obs::TraceSession session;
+  auto out = ParallelBeamSearch(p, 4, nullptr, limits, nullptr, nullptr,
+                                &session);
   ASSERT_TRUE(out.found);
-  int last_level = -1;
+  int64_t last_level = -1;
   size_t levels = 0;
   size_t visits = 0;
-  for (const TraceEvent& e : tracer.events()) {
-    if (e.kind == TraceEventKind::kIteration) {
-      EXPECT_EQ(e.depth, last_level + 1);  // consecutive levels
-      last_level = e.depth;
+  for (const obs::TraceExportEvent& e : Instants(session)) {
+    if (e.name == "iteration") {
+      ASSERT_EQ(e.args[1].first, "depth");
+      EXPECT_EQ(e.args[1].second, last_level + 1);  // consecutive levels
+      last_level = e.args[1].second;
       ++levels;
-    } else if (e.kind == TraceEventKind::kVisit) {
+    } else if (e.name == "visit") {
       ++visits;
     }
   }
@@ -794,16 +862,16 @@ TEST(SearchMetricsTest, CountersMatchStatsAcrossAlgorithms) {
     SearchOutcome<int> out;
     switch (algo) {
       case Algo::kIda:
-        out = IdaStarSearch(p, SearchLimits(), nullptr, &registry);
+        out = IdaStarSearch(p, SearchLimits(), &registry);
         break;
       case Algo::kRbfs:
-        out = RbfsSearch(p, SearchLimits(), nullptr, &registry);
+        out = RbfsSearch(p, SearchLimits(), &registry);
         break;
       case Algo::kAStar:
-        out = AStarSearch(p, SearchLimits(), nullptr, &registry);
+        out = AStarSearch(p, SearchLimits(), &registry);
         break;
       case Algo::kGreedy:
-        out = GreedySearch(p, SearchLimits(), nullptr, &registry);
+        out = GreedySearch(p, SearchLimits(), &registry);
         break;
     }
     int which = static_cast<int>(algo);
@@ -829,7 +897,7 @@ TEST(SearchMetricsTest, RegistryDoesNotChangeTheOutcome) {
   GraphProblem p = MetricsProblem();
   obs::MetricRegistry registry;
   auto plain = IdaStarSearch(p);
-  auto metered = IdaStarSearch(p, SearchLimits(), nullptr, &registry);
+  auto metered = IdaStarSearch(p, SearchLimits(), &registry);
   EXPECT_EQ(plain.found, metered.found);
   EXPECT_EQ(plain.path, metered.path);
   EXPECT_EQ(plain.stats.states_examined, metered.stats.states_examined);
@@ -842,7 +910,7 @@ TEST(SearchMetricsTest, IdaIterationCounterAndFBoundHistogram) {
   p.edges = {{0, {1}}, {1, {2}}, {2, {3}}, {3, {4}}};
   p.goal = 4;
   obs::MetricRegistry registry;
-  auto out = IdaStarSearch(p, SearchLimits(), nullptr, &registry);
+  auto out = IdaStarSearch(p, SearchLimits(), &registry);
   ASSERT_TRUE(out.found);
   EXPECT_EQ(registry.CounterValue("search.iterations"),
             static_cast<uint64_t>(out.stats.iterations));
@@ -859,7 +927,7 @@ TEST(SearchMetricsTest, SingleIterationHasNoReExpansions) {
   p.goal = 2;
   p.h = {{0, 2}, {1, 1}, {2, 0}};  // perfect heuristic: one iteration
   obs::MetricRegistry registry;
-  auto out = IdaStarSearch(p, SearchLimits(), nullptr, &registry);
+  auto out = IdaStarSearch(p, SearchLimits(), &registry);
   ASSERT_TRUE(out.found);
   EXPECT_EQ(registry.CounterValue("search.re_expansions"), 0u);
 }

@@ -25,6 +25,7 @@
 #include "serve/client.h"
 #include "serve/job_manager.h"
 #include "serve/server.h"
+#include "serve/wire.h"
 #include "workloads/synthetic.h"
 
 namespace tupelo::serve {
@@ -558,6 +559,38 @@ TEST(ServerTest, EndToEndSubmitStreamCancelMetricsShutdown) {
   EXPECT_TRUE(client->RequestShutdown().ok());
   server.Shutdown();
   EXPECT_TRUE(server.stop_requested());
+}
+
+TEST(ServerTest, RunawayNestedFrameIsRejectedAndServerKeepsServing) {
+  JournalDir dir("server_nest");
+  ServerConfig config;
+  config.port = 0;
+  config.jobs = BaseConfig(dir);
+  Server server(std::move(config));
+  ASSERT_TRUE(server.Start().ok());
+
+  // One frame whose payload is 1 MiB of '[': well under kMaxFrameBytes,
+  // but nested far deeper than the JSON parser accepts.
+  Result<int> fd = ConnectTo("127.0.0.1", server.port());
+  ASSERT_TRUE(fd.ok()) << fd.status();
+  const uint32_t n = 1u << 20;
+  std::string frame = {static_cast<char>(n >> 24), static_cast<char>(n >> 16),
+                       static_cast<char>(n >> 8), static_cast<char>(n)};
+  frame.append(n, '[');
+  size_t off = 0;
+  while (off < frame.size()) {
+    ssize_t w = ::write(*fd, frame.data() + off, frame.size() - off);
+    ASSERT_GT(w, 0);
+    off += static_cast<size_t>(w);
+  }
+  // The server drops the conversation instead of answering it.
+  EXPECT_FALSE(ReadFrame(*fd).ok());
+  ::close(*fd);
+
+  Result<Client> client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status();
+  EXPECT_TRUE(client->Ping().ok());
+  server.Shutdown();
 }
 
 TEST(ServerTest, ClientDisconnectCancelsInteractiveJobs) {

@@ -23,7 +23,6 @@
 #include "obs/trace.h"
 #include "relational/io.h"
 #include "search/ida_star.h"
-#include "search/trace.h"
 #include "workloads/synthetic.h"
 
 namespace tupelo {
@@ -338,24 +337,22 @@ TEST(FlightRecordTest, DumpAndLoadFile) {
 }
 
 // ---------------------------------------------------------------------------
-// SearchTracer unification
+// Search emission
 // ---------------------------------------------------------------------------
 
-TEST(SearchTraceTest, LegacyTracerAndSessionSeeTheSameSearch) {
+TEST(SearchTraceTest, SessionSeesEveryVisitOfTheSearch) {
   SyntheticMatchingPair pair = MakeSyntheticMatchingPair(3);
   MappingProblem problem(
       pair.source, pair.target,
       MakeHeuristic(HeuristicKind::kH1, pair.target, SearchAlgorithm::kIda),
       nullptr, {}, SuccessorConfig());
-  SearchTracer tracer;
   TraceSession session;
   SearchOutcome<Op> outcome =
-      IdaStarSearch(problem, SearchLimits(), &tracer, nullptr, nullptr,
-                    &session);
+      IdaStarSearch(problem, SearchLimits(), nullptr, nullptr, &session);
   ASSERT_TRUE(outcome.found);
-  EXPECT_FALSE(tracer.events().empty());
 
-  int visits = 0, goals = 0;
+  uint64_t visits = 0;
+  int goals = 0;
   bool saw_search_span = false;
   for (const TraceExportEvent& e : session.Collect()) {
     if (e.name == "visit") ++visits;
@@ -366,13 +363,10 @@ TEST(SearchTraceTest, LegacyTracerAndSessionSeeTheSameSearch) {
   }
   EXPECT_TRUE(saw_search_span);
   EXPECT_EQ(goals, 1);
-  // Both sinks hang off the same emission point, so the counts agree
-  // (modulo the legacy tracer's own cap, not hit at this size).
-  int legacy_visits = 0;
-  for (const TraceEvent& e : tracer.events()) {
-    if (e.kind == TraceEventKind::kVisit) ++legacy_visits;
-  }
-  EXPECT_EQ(visits, legacy_visits);
+  // One visit instant per examined state (the ring is not wrapped at this
+  // size).
+  EXPECT_EQ(session.events_dropped(), 0u);
+  EXPECT_EQ(visits, outcome.stats.states_examined);
 }
 
 // ---------------------------------------------------------------------------
