@@ -35,12 +35,15 @@
 // at its next poll tick (its last --checkpoint snapshot already on
 // disk), the trace and flight recorder flush, and the process exits 6.
 
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/string_util.h"
@@ -95,8 +98,6 @@ int Usage() {
          "  [--beam-width=N]          frontier width for --algo=beam\n"
          "  [--threads=N]             worker threads (beam levels expand in "
          "parallel)\n"
-         "  [--portfolio]             run the degradation ladder as a "
-         "concurrent portfolio\n"
          "  [--trace=file.json]       record a Chrome trace-event export "
          "of the discovery run\n"
          "  [--trace-buffer-kb=N]     per-thread trace ring size "
@@ -119,9 +120,8 @@ int Usage() {
          "stalled rung (default 1)\n"
          "  [--apply]                 execute the mapping and print the "
          "result\n"
-         "  [--compiled]              use the fused compiled executor for "
-         "discovery\n"
-         "                            successors and for --apply\n"
+         "  [--compiled]              with --apply: execute the mapping "
+         "with the fused compiled executor\n"
          "  [--simplify]              run the peephole optimizer on the "
          "result\n"
          "  [--check]                 statically type-check the result "
@@ -139,6 +139,31 @@ int Usage() {
          "  4 deadline, 5 memory, 6 cancelled (SIGINT/SIGTERM), 7 stalled,\n"
          "  8 state budget, 9 depth bound, 10 found but unverified\n";
   return 2;
+}
+
+// Parses the value of a numeric flag `arg` (of the form `<prefix><value>`)
+// into `out`: plain decimal digits (a fraction too for floating-point
+// fields), no sign, no trailing junk, no overflow, and at least `min`.
+// Prints what was wrong and returns false otherwise, so every numeric
+// flag fails the same way: the usage text and exit 2.
+template <typename T>
+bool ParseFlag(std::string_view arg, std::string_view prefix, T* out,
+               std::type_identity_t<T> min = T{}) {
+  std::string_view text = arg.substr(prefix.size());
+  const char* end = text.data() + text.size();
+  T value{};
+  bool ok = !text.empty() && text.front() != '-' && text.front() != '+';
+  if (ok) {
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    ok = ec == std::errc() && ptr == end && value >= min;
+    if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  }
+  if (!ok) {
+    std::cerr << "tupelo_cli: invalid value in '" << arg << "'\n";
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 }  // namespace
@@ -178,24 +203,31 @@ int main(int argc, char** argv) {
       if (!h.has_value()) return Usage();
       options.heuristic = *h;
     } else if (arg.starts_with("--k=")) {
-      options.scale_k = std::stod(value_of("--k="));
+      if (!ParseFlag(arg, "--k=", &options.scale_k)) return Usage();
     } else if (arg.starts_with("--max-states=")) {
-      options.limits.max_states = std::stoull(value_of("--max-states="));
+      if (!ParseFlag(arg, "--max-states=", &options.limits.max_states)) {
+        return Usage();
+      }
     } else if (arg.starts_with("--deadline-ms=")) {
-      options.limits.deadline_millis = std::stoll(value_of("--deadline-ms="));
+      if (!ParseFlag(arg, "--deadline-ms=", &options.limits.deadline_millis)) {
+        return Usage();
+      }
     } else if (arg.starts_with("--max-depth=")) {
-      options.limits.max_depth = std::stoi(value_of("--max-depth="));
+      if (!ParseFlag(arg, "--max-depth=", &options.limits.max_depth)) {
+        return Usage();
+      }
     } else if (arg.starts_with("--beam-width=")) {
-      options.beam_width = std::stoull(value_of("--beam-width="));
+      if (!ParseFlag(arg, "--beam-width=", &options.beam_width, 1)) {
+        return Usage();
+      }
     } else if (arg.starts_with("--threads=")) {
-      options.threads = std::stoull(value_of("--threads="));
-    } else if (arg == "--portfolio") {
-      options.portfolio = true;
-      if (options.ladder.empty()) options.ladder = tupelo::DefaultLadder();
+      if (!ParseFlag(arg, "--threads=", &options.threads)) return Usage();
     } else if (arg.starts_with("--trace=")) {
       trace_path = value_of("--trace=");
     } else if (arg.starts_with("--trace-buffer-kb=")) {
-      trace_buffer_kb = std::stoull(value_of("--trace-buffer-kb="));
+      if (!ParseFlag(arg, "--trace-buffer-kb=", &trace_buffer_kb)) {
+        return Usage();
+      }
       if (trace_buffer_kb == 0) trace_buffer_kb = 256;
     } else if (arg == "--flight-recorder") {
       flight_recorder = true;
@@ -207,21 +239,26 @@ int main(int argc, char** argv) {
       options.supervisor.enabled = true;
     } else if (arg.starts_with("--stall-window-ms=")) {
       options.supervisor.enabled = true;
-      options.supervisor.stall_window_millis =
-          std::stoll(value_of("--stall-window-ms="));
+      if (!ParseFlag(arg, "--stall-window-ms=",
+                     &options.supervisor.stall_window_millis)) {
+        return Usage();
+      }
     } else if (arg.starts_with("--supervisor-tick-ms=")) {
       options.supervisor.enabled = true;
-      options.supervisor.tick_millis =
-          std::stoll(value_of("--supervisor-tick-ms="));
+      if (!ParseFlag(arg, "--supervisor-tick-ms=",
+                     &options.supervisor.tick_millis)) {
+        return Usage();
+      }
     } else if (arg.starts_with("--rung-retries=")) {
       options.supervisor.enabled = true;
-      options.supervisor.max_rung_retries =
-          std::stoi(value_of("--rung-retries="));
+      if (!ParseFlag(arg, "--rung-retries=",
+                     &options.supervisor.max_rung_retries)) {
+        return Usage();
+      }
     } else if (arg == "--no-prune") {
       options.successors.prune = false;
     } else if (arg == "--compiled") {
       compiled = true;
-      options.successors.compiled_expand = true;
     } else if (arg == "--apply") {
       apply = true;
     } else if (arg == "--simplify") {

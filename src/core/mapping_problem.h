@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "fira/compile.h"
 #include "fira/executor.h"
 #include "fira/function_registry.h"
 #include "fira/operators.h"
@@ -48,10 +47,6 @@ struct SemanticCorrespondence {
 // baseline).
 struct SuccessorConfig {
   bool prune = true;
-  // The two structurally explosive operators can be disabled entirely for
-  // workloads known not to need them.
-  bool enable_dereference = true;
-  bool enable_product = true;
   // Capacity (in states, LRU-evicted) of the transposition cache that
   // memoizes Expand results. IDA* re-visits every shallow state once per
   // iteration and RBFS re-descends abandoned branches, so the same states
@@ -59,13 +54,6 @@ struct SuccessorConfig {
   // a lookup. 0 disables it. Cached successor states are reported via
   // AuxMemoryNodes() and count toward SearchLimits::max_memory_nodes.
   size_t expand_cache_capacity = 256;
-  // Execute Expand's operator applications through the compiled executor
-  // (fira/compile.h) instead of the scalar interpreter. Outcome-identical
-  // by the differential-harness contract — same successors, same errors,
-  // same fault-injector accounting — so this is purely an execution
-  // backend switch. Defaults to the TUPELO_COMPILED_EXPAND environment
-  // variable (see DefaultCompiledExpand) so CI can flip whole suites.
-  bool compiled_expand = DefaultCompiledExpand();
 };
 
 // The TUPELO search problem (§2.3): states are database instances, actions
@@ -75,10 +63,9 @@ struct SuccessorConfig {
 //
 // Thread safety: the const query surface (IsGoal/Expand/EstimateCost/
 // StateKey/StateKey128/AuxMemoryNodes) may be called from several threads
-// at once — the parallel beam fans Expand+EstimateCost out across a pool,
-// and concurrent portfolio rungs each drive their own problem. The
-// heuristic itself is stateless; the estimate cache is sharded by key and
-// the expand transposition cache sits under one mutex (successor
+// at once — the parallel beam fans Expand+EstimateCost out across a pool.
+// The heuristic itself is stateless; the estimate cache is sharded by key
+// and the expand transposition cache sits under one mutex (successor
 // generation happens outside it). The problem owns mutexes, so it is
 // neither copyable nor movable.
 class MappingProblem {

@@ -1,10 +1,10 @@
 #include "core/tupelo.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -336,14 +336,8 @@ Result<TupeloResult> Tupelo::Discover(const TupeloOptions& options) const {
   std::vector<Op> best_partial;
   int best_partial_h = -1;
 
-  // Checkpoint/resume plumbing (sequential ladder only: the portfolio has
-  // no single rung position to snapshot).
+  // Checkpoint/resume plumbing.
   const bool checkpointing = !options.checkpoint_path.empty();
-  if ((checkpointing || options.resume) && options.portfolio &&
-      ladder.size() > 1) {
-    return Status::FailedPrecondition(
-        "checkpoint/resume is not supported with the concurrent portfolio");
-  }
   if (options.resume && !checkpointing) {
     return Status::InvalidArgument(
         "TupeloOptions::resume requires checkpoint_path");
@@ -427,13 +421,11 @@ Result<TupeloResult> Tupelo::Discover(const TupeloOptions& options) const {
         &options.on_progress);
   }
 
-  // Self-healing supervision (sequential ladder only: portfolio rungs own
-  // their budgets and cancel one another already). The heartbeat slot is
-  // declared before the pool so it outlives the workers that stamp it —
-  // a worker bumps `beats` after finishing a task, which can land just
-  // after the search's own barrier has released.
-  const bool supervised =
-      options.supervisor.enabled && !(options.portfolio && ladder.size() > 1);
+  // Self-healing supervision. The heartbeat slot is declared before the
+  // pool so it outlives the workers that stamp it — a worker bumps
+  // `beats` after finishing a task, which can land just after the
+  // search's own barrier has released.
+  const bool supervised = options.supervisor.enabled;
   HeartbeatSlot heartbeat;
   std::atomic<uint32_t> width_pressure{0};
   std::unique_ptr<StateQuarantine> quarantine;
@@ -468,150 +460,6 @@ Result<TupeloResult> Tupelo::Discover(const TupeloOptions& options) const {
     metrics->GetGauge("runtime.threads").Set(static_cast<int64_t>(threads));
   }
 
-  if (options.portfolio && ladder.size() > 1) {
-    // Concurrent portfolio: all rungs start at once, each on its own
-    // thread with the full budget (there is no fallback order to ration).
-    // The first rung whose mapping replays correctly claims the win and
-    // cancels the rest through their parented tokens.
-    //
-    // Prewarm the shared instances' lazy fingerprint caches while still
-    // single-threaded: rung problems and verification replays all read
-    // source_/target_ concurrently.
-    source_.Fingerprint128();
-    target_.Fingerprint128();
-
-    struct PortfolioRun {
-      SearchOutcome<Op> outcome;
-      double millis = 0.0;
-      bool verified = false;
-    };
-    std::vector<std::unique_ptr<MappingProblem>> problems;
-    std::vector<std::unique_ptr<CancelToken>> tokens;
-    problems.reserve(ladder.size());
-    tokens.reserve(ladder.size());
-    for (size_t i = 0; i < ladder.size(); ++i) {
-      problems.push_back(std::make_unique<MappingProblem>(
-          source_, target_,
-          MakeHeuristic(options.heuristic, target_, ladder[i].algorithm,
-                        options.scale_k),
-          registry_, correspondences_, options.successors));
-      problems.back()->set_metrics(metrics);
-      problems.back()->set_trace(trace);
-      tokens.push_back(std::make_unique<CancelToken>(options.limits.cancel));
-    }
-    std::vector<PortfolioRun> runs(ladder.size());
-    std::mutex winner_mu;
-    int winner = -1;
-    if (metrics != nullptr) {
-      metrics->GetCounter("runtime.portfolio.rungs")
-          .Increment(ladder.size());
-    }
-
-    {
-      std::vector<std::thread> rung_threads;
-      rung_threads.reserve(ladder.size());
-      for (size_t i = 0; i < ladder.size(); ++i) {
-        rung_threads.emplace_back([&, i] {
-          SearchLimits rung_limits = options.limits;
-          rung_limits.cancel = tokens[i].get();
-          Clock::time_point rung_start = Clock::now();
-          SearchOutcome<Op> outcome =
-              RunRung(ladder[i].algorithm, *problems[i], options.beam_width,
-                      pool, rung_limits, metrics, nullptr, trace);
-          runs[i].millis = MillisSince(rung_start);
-          if (outcome.found) {
-            // Verify here, in the rung thread: an unverifiable mapping
-            // must not cancel a rung that could still produce a correct
-            // one.
-            obs::TraceSpan verify_span(trace, obs::TraceCategory::kVerify,
-                                       "verify");
-            Result<Database> replay = SafeReplay(
-                MappingExpression(outcome.path), source_, registry_);
-            runs[i].verified = replay.ok() && replay->Contains(target_);
-            verify_span.SetEndArg("ok", runs[i].verified ? 1 : 0);
-          }
-          runs[i].outcome = std::move(outcome);
-          if (runs[i].verified) {
-            std::lock_guard<std::mutex> lock(winner_mu);
-            if (winner < 0) {
-              winner = static_cast<int>(i);
-              for (size_t j = 0; j < tokens.size(); ++j) {
-                if (j != i) tokens[j]->Cancel();
-              }
-            }
-          }
-        });
-      }
-      for (std::thread& t : rung_threads) t.join();
-    }
-
-    // Record attempts in ladder order regardless of finish order, so
-    // reports are stable run to run.
-    for (size_t i = 0; i < ladder.size(); ++i) {
-      const PortfolioRun& run = runs[i];
-      result.rungs.push_back(RungAttempt{ladder[i].algorithm,
-                                         run.outcome.stop,
-                                         run.outcome.stats.states_examined,
-                                         run.millis});
-      if (metrics != nullptr) {
-        metrics->GetCounter("governor.rungs_attempted").Increment();
-        metrics
-            ->GetCounter(
-                std::string("governor.rung.") +
-                std::string(SearchAlgorithmName(ladder[i].algorithm)) +
-                ".nanos")
-            .Increment(static_cast<uint64_t>(run.millis * 1e6));
-        switch (run.outcome.stop) {
-          case StopReason::kDeadline:
-            metrics->GetCounter("governor.deadline_trips").Increment();
-            break;
-          case StopReason::kCancelled:
-            metrics->GetCounter("governor.cancellations").Increment();
-            break;
-          case StopReason::kMemory:
-            metrics->GetCounter("governor.memory_trips").Increment();
-            break;
-          default:
-            break;
-        }
-      }
-      result.stats.states_examined += run.outcome.stats.states_examined;
-      result.stats.states_generated += run.outcome.stats.states_generated;
-      result.stats.iterations += run.outcome.stats.iterations;
-      result.stats.peak_memory_nodes =
-          std::max(result.stats.peak_memory_nodes,
-                   run.outcome.stats.peak_memory_nodes);
-      if (run.outcome.best_h >= 0 &&
-          (best_partial_h < 0 || run.outcome.best_h < best_partial_h)) {
-        best_partial_h = run.outcome.best_h;
-        best_partial = run.outcome.best_path;
-      }
-    }
-    // A found-but-unverifiable mapping still surfaces (found=true with a
-    // failing verify_status), matching the sequential ladder's behavior —
-    // it just never cancels the other rungs.
-    if (winner < 0) {
-      for (size_t i = 0; i < runs.size(); ++i) {
-        if (runs[i].outcome.found) {
-          winner = static_cast<int>(i);
-          break;
-        }
-      }
-    }
-    if (winner >= 0) {
-      result.found = true;
-      result.stats.solution_cost =
-          runs[winner].outcome.stats.solution_cost;
-      result.stop_reason = runs[winner].outcome.stop;
-      found_outcome = std::move(runs[winner].outcome);
-      if (metrics != nullptr) {
-        metrics->GetCounter("runtime.portfolio.losers_cancelled")
-            .Increment(ladder.size() - 1);
-      }
-    } else {
-      result.stop_reason = runs.back().outcome.stop;
-    }
-  } else
   for (size_t i = first_rung; i < ladder.size(); ++i) {
     const bool last = i + 1 == ladder.size();
     if (i > first_rung && metrics != nullptr) {

@@ -80,24 +80,16 @@ struct TupeloOptions {
   // owner, and supervised stall detection falls back to the search
   // thread's own heartbeats.
   ThreadPool* pool = nullptr;
-  // Run the ladder as a concurrent portfolio instead of a fallback
-  // sequence: every rung starts at once on its own thread with the full
-  // budget, the first rung whose mapping verifies wins, and the rest are
-  // cancelled through per-rung tokens parented on limits.cancel. Per-rung
-  // budget_share is ignored (there is no fallback order to ration).
-  // Requires a ladder with at least two rungs to change anything.
-  bool portfolio = false;
   // Run the peephole optimizer (fira/optimizer.h) on the discovered
   // expression; the raw search path is replaced by the simplified,
   // re-verified equivalent.
   bool simplify = false;
   // Durable checkpoint/resume (see docs/ROBUSTNESS.md, "Checkpoint &
-  // resume contract"). With a non-empty checkpoint_path, sequential runs
-  // write an atomic, checksummed snapshot of the ladder position, the
-  // remaining budget, the best partial mapping, and the active rung's
-  // resumable search core (core/checkpoint.h) roughly every
-  // checkpoint_interval_states examined states. Not supported together
-  // with the concurrent portfolio (FailedPrecondition).
+  // resume contract"). With a non-empty checkpoint_path, runs write an
+  // atomic, checksummed snapshot of the ladder position, the remaining
+  // budget, the best partial mapping, and the active rung's resumable
+  // search core (core/checkpoint.h) roughly every
+  // checkpoint_interval_states examined states.
   std::string checkpoint_path;
   uint64_t checkpoint_interval_states = 1024;
   // Load checkpoint_path before searching and restart at its rung +
@@ -117,8 +109,8 @@ struct TupeloOptions {
   // write — a deterministic process death at a checkpoint boundary.
   uint64_t checkpoint_kill_after = 0;
   // Self-healing supervision (runtime/supervisor.h). With
-  // supervisor.enabled, sequential-ladder runs start a watchdog thread:
-  // each rung heartbeats into it, a hung rung is preempted within
+  // supervisor.enabled, runs start a watchdog thread: each rung
+  // heartbeats into it, a hung rung is preempted within
   // supervisor.stall_window_millis (StopReason::kStalled) and retried
   // with exponential backoff up to supervisor.max_rung_retries times
   // before the ladder advances; memory pressure against
@@ -126,8 +118,7 @@ struct TupeloOptions {
   // caches, then halve the beam width, then preempt to the next rung)
   // instead of tripping a hard kMemory; and every rung runs with a
   // poison-state quarantine, so an exception escaping Expand/ApplyOp
-  // quarantines the offending state instead of aborting the run. Ignored
-  // by the concurrent portfolio.
+  // quarantines the offending state instead of aborting the run.
   runtime::SupervisorConfig supervisor;
   // Optional metric registry (nullable; default off). When set, the run
   // populates search.*, heuristic.*, executor.*, phase.* and governor.*

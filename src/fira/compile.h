@@ -60,21 +60,6 @@ class CompiledExecutor {
   CompiledPlan plan_;
 };
 
-// Single-operator compiled apply: the Expand-path entry point
-// (SuccessorConfig::compiled_expand). Exactly equivalent to
-// ApplyOp(op, input, ...) — same Result, same injector/metrics/trace
-// activity — but routed through the loop IR for fusable operators.
-Result<Database> ApplyOpCompiled(const Op& op, const Database& input,
-                                 const FunctionRegistry* registry = nullptr,
-                                 obs::MetricRegistry* metrics = nullptr,
-                                 obs::TraceSession* trace = nullptr);
-
-// Default for SuccessorConfig::compiled_expand: true when the
-// TUPELO_COMPILED_EXPAND environment variable is set to anything but ""
-// or "0" (resolved once per process). Lets CI run whole suites over the
-// compiled Expand path without touching call sites.
-bool DefaultCompiledExpand();
-
 }  // namespace tupelo
 
 #endif  // TUPELO_FIRA_COMPILE_H_

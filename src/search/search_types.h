@@ -29,10 +29,8 @@ namespace tupelo {
 //   const State& initial_state() const;
 //   bool IsGoal(const State& s) const;
 //   // Successors in a deterministic order. Unit step costs. Expand must
-//   // be a pure function of the state: the successor set (and its order)
-//   // may not depend on which execution backend produced it — e.g.
-//   // MappingProblem's interpreted vs. compiled operator application
-//   // (SuccessorConfig::compiled_expand) yield identical successors.
+//   // be a pure function of the state: the successor set and its order
+//   // may not depend on which thread or pool worker computes it.
 //   std::vector<SuccessorT> Expand(const State& s) const;
 //   // Heuristic estimate h(s) ≥ 0 of the distance to a goal.
 //   int EstimateCost(const State& s) const;
@@ -178,10 +176,10 @@ inline bool IsResourceStop(StopReason reason) {
 // searches via Reset().
 //
 // Tokens chain: a token with a parent reports cancelled when either it
-// or the parent has fired. The concurrent portfolio runner hands each
-// rung a private token parented on the caller's, so the winner can
-// cancel the losers without consuming the caller's token, while a
-// caller-side Cancel still stops every rung.
+// or the parent has fired. Discover hands each supervised rung a
+// private token parented on the caller's, so the watchdog can preempt a
+// hung rung without consuming the caller's token, while a caller-side
+// Cancel still stops the rung.
 //
 // The chain is held through shared, heap-allocated flag nodes: a child
 // keeps its parent's node alive, so cancelled() stays safe (and keeps

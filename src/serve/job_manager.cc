@@ -95,7 +95,7 @@ Result<JobSpec> SpecFromJson(const obs::JsonValue& v) {
   spec.heuristic = GetString(v, "heuristic", "h1");
   spec.deadline_millis = GetInt(v, "deadline_millis");
   spec.max_states = static_cast<uint64_t>(GetInt(v, "max_states"));
-  spec.beam_width = static_cast<size_t>(GetInt(v, "beam_width", 8));
+  const int64_t beam_width = GetInt(v, "beam_width", 8);
   spec.supervise = GetBool(v, "supervise");
   spec.cancel_on_disconnect = GetBool(v, "cancel_on_disconnect");
   // Validate what would otherwise only explode inside a worker: the
@@ -112,6 +112,13 @@ Result<JobSpec> SpecFromJson(const obs::JsonValue& v) {
     return Status::InvalidArgument("job spec: unknown heuristic '" +
                                    spec.heuristic + "'");
   }
+  // A zero-width beam examines nothing and a negative one would wrap to
+  // SIZE_MAX; neither is a budget a client can mean.
+  if (beam_width <= 0) {
+    return Status::InvalidArgument("job spec: beam_width must be positive, "
+                                   "got " + std::to_string(beam_width));
+  }
+  spec.beam_width = static_cast<size_t>(beam_width);
   return spec;
 }
 

@@ -172,6 +172,26 @@ TEST(ServeSpecTest, MalformedSpecsAreTypedRejections) {
   EXPECT_EQ(r3.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(ServeSpecTest, NonPositiveBeamWidthIsRejectedAtSubmit) {
+  for (int64_t width : {int64_t{0}, int64_t{-1}}) {
+    obs::JsonValue wire = SpecToJson(EasyJob());
+    wire["beam_width"] = width;
+    Result<JobSpec> parsed = SpecFromJson(wire);
+    ASSERT_FALSE(parsed.ok()) << width;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << width;
+  }
+
+  // A locally built spec goes through the same check on Submit.
+  JournalDir dir("zero_beam");
+  JobManager manager(BaseConfig(dir));
+  ASSERT_TRUE(manager.Start().ok());
+  JobSpec zero = EasyJob();
+  zero.beam_width = 0;
+  Result<SubmitOutcome> outcome = manager.Submit(zero);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(JobManagerTest, RunsAJobToVerifiedCompletion) {
   JournalDir dir("basic");
   JobManager manager(BaseConfig(dir));
