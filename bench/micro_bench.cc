@@ -331,12 +331,12 @@ BENCHMARK(BM_TraceEmit);
 
 // One heartbeat stamp — what a supervised search adds at each amortized
 // BudgetGuard poll tick (every 16 Check calls) and what the thread pool
-// adds per task. Three relaxed atomic stores.
+// adds per task. Two relaxed atomic writes.
 void BM_HeartbeatTick(benchmark::State& state) {
   HeartbeatSlot slot;
   uint64_t i = 0;
   for (auto _ : state) {
-    slot.Beat(++i, 64);
+    slot.Beat(++i);
     benchmark::DoNotOptimize(&slot);
   }
 }
@@ -508,7 +508,7 @@ int RunJsonSuite(int argc, char** argv) {
     HeartbeatSlot slot;
     uint64_t beat_i = 0;
     double heartbeat_tick = NanosPer(iters, [&] {
-      slot.Beat(++beat_i, 64);
+      slot.Beat(++beat_i);
       benchmark::DoNotOptimize(&slot);
     });
     StateQuarantine quarantine(1024);

@@ -35,15 +35,12 @@
 // at its next poll tick (its last --checkpoint snapshot already on
 // disk), the trace and flight recorder flush, and the process exits 6.
 
-#include <charconv>
-#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 #include "common/string_util.h"
@@ -57,6 +54,8 @@
 #include "relational/io.h"
 
 namespace {
+
+using tupelo::ParseFlag;
 
 // Root cancellation for the whole CLI run, flipped from the signal
 // handler. CancelToken::Cancel is one relaxed atomic store, so it is
@@ -87,7 +86,12 @@ int ExitCodeFor(const tupelo::TupeloResult& result) {
   }
 }
 
-int Usage() {
+// Prints the usage text, preceded by the rejected flag when there is one,
+// and returns the usage exit code.
+int Usage(std::string_view bad_flag = {}) {
+  if (!bad_flag.empty()) {
+    std::cerr << "tupelo_cli: invalid value in '" << bad_flag << "'\n";
+  }
   std::cerr
       << "usage: tupelo_cli <source.tdb> <target.tdb>\n"
          "  [--algo=ida|rbfs|astar|greedy|beam]\n"
@@ -109,9 +113,8 @@ int Usage() {
          "  [--resume]                with --checkpoint: restart from the "
          "snapshot's rung + frontier\n"
          "  [--supervise]             self-healing watchdog: preempt hung "
-         "rungs, stage memory\n"
-         "                            degradation, quarantine poison "
-         "states\n"
+         "rungs, quarantine poison\n"
+         "                            states\n"
          "  [--stall-window-ms=N]     with --supervise: silence window "
          "before preemption (default 500)\n"
          "  [--supervisor-tick-ms=N]  with --supervise: watchdog sampling "
@@ -139,31 +142,6 @@ int Usage() {
          "  4 deadline, 5 memory, 6 cancelled (SIGINT/SIGTERM), 7 stalled,\n"
          "  8 state budget, 9 depth bound, 10 found but unverified\n";
   return 2;
-}
-
-// Parses the value of a numeric flag `arg` (of the form `<prefix><value>`)
-// into `out`: plain decimal digits (a fraction too for floating-point
-// fields), no sign, no trailing junk, no overflow, and at least `min`.
-// Prints what was wrong and returns false otherwise, so every numeric
-// flag fails the same way: the usage text and exit 2.
-template <typename T>
-bool ParseFlag(std::string_view arg, std::string_view prefix, T* out,
-               std::type_identity_t<T> min = T{}) {
-  std::string_view text = arg.substr(prefix.size());
-  const char* end = text.data() + text.size();
-  T value{};
-  bool ok = !text.empty() && text.front() != '-' && text.front() != '+';
-  if (ok) {
-    auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    ok = ec == std::errc() && ptr == end && value >= min;
-    if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
-  }
-  if (!ok) {
-    std::cerr << "tupelo_cli: invalid value in '" << arg << "'\n";
-    return false;
-  }
-  *out = value;
-  return true;
 }
 
 }  // namespace
@@ -203,30 +181,30 @@ int main(int argc, char** argv) {
       if (!h.has_value()) return Usage();
       options.heuristic = *h;
     } else if (arg.starts_with("--k=")) {
-      if (!ParseFlag(arg, "--k=", &options.scale_k)) return Usage();
+      if (!ParseFlag(arg, "--k=", &options.scale_k)) return Usage(arg);
     } else if (arg.starts_with("--max-states=")) {
       if (!ParseFlag(arg, "--max-states=", &options.limits.max_states)) {
-        return Usage();
+        return Usage(arg);
       }
     } else if (arg.starts_with("--deadline-ms=")) {
       if (!ParseFlag(arg, "--deadline-ms=", &options.limits.deadline_millis)) {
-        return Usage();
+        return Usage(arg);
       }
     } else if (arg.starts_with("--max-depth=")) {
       if (!ParseFlag(arg, "--max-depth=", &options.limits.max_depth)) {
-        return Usage();
+        return Usage(arg);
       }
     } else if (arg.starts_with("--beam-width=")) {
       if (!ParseFlag(arg, "--beam-width=", &options.beam_width, 1)) {
-        return Usage();
+        return Usage(arg);
       }
     } else if (arg.starts_with("--threads=")) {
-      if (!ParseFlag(arg, "--threads=", &options.threads)) return Usage();
+      if (!ParseFlag(arg, "--threads=", &options.threads)) return Usage(arg);
     } else if (arg.starts_with("--trace=")) {
       trace_path = value_of("--trace=");
     } else if (arg.starts_with("--trace-buffer-kb=")) {
       if (!ParseFlag(arg, "--trace-buffer-kb=", &trace_buffer_kb)) {
-        return Usage();
+        return Usage(arg);
       }
       if (trace_buffer_kb == 0) trace_buffer_kb = 256;
     } else if (arg == "--flight-recorder") {
@@ -241,19 +219,19 @@ int main(int argc, char** argv) {
       options.supervisor.enabled = true;
       if (!ParseFlag(arg, "--stall-window-ms=",
                      &options.supervisor.stall_window_millis)) {
-        return Usage();
+        return Usage(arg);
       }
     } else if (arg.starts_with("--supervisor-tick-ms=")) {
       options.supervisor.enabled = true;
       if (!ParseFlag(arg, "--supervisor-tick-ms=",
                      &options.supervisor.tick_millis)) {
-        return Usage();
+        return Usage(arg);
       }
     } else if (arg.starts_with("--rung-retries=")) {
       options.supervisor.enabled = true;
       if (!ParseFlag(arg, "--rung-retries=",
                      &options.supervisor.max_rung_retries)) {
-        return Usage();
+        return Usage(arg);
       }
     } else if (arg == "--no-prune") {
       options.successors.prune = false;
@@ -370,12 +348,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (options.supervisor.enabled &&
-      (result->stall_preemptions > 0 || result->memory_reliefs > 0 ||
-       result->rung_retries > 0 || result->states_quarantined > 0)) {
+      (result->stall_preemptions > 0 || result->rung_retries > 0 ||
+       result->states_quarantined > 0)) {
     std::cerr << "# supervisor: " << result->stall_preemptions
               << " stall preemption(s), " << result->rung_retries
-              << " retry(ies), " << result->memory_reliefs
-              << " memory relief(s), " << result->states_quarantined
+              << " retry(ies), " << result->states_quarantined
               << " state(s) quarantined\n";
   }
   if (!result->found) {

@@ -7,7 +7,9 @@
 # is the end-to-end "kill -9 loses nothing" gate. The emitted report is
 # then validated against the schema-10 checker and its summary asserted:
 # at least one kill actually landed, recovery re-ran real jobs, zero
-# violations.
+# violations. First, tupelo_serve's flag parsing is pinned: an unknown
+# flag or a malformed value must exit 2 with the usage text before it
+# binds anything.
 #
 # Expected -D variables:
 #   LOADGEN     - path to the serve_loadgen binary
@@ -23,6 +25,33 @@ foreach(var LOADGEN SERVE_BIN VALIDATOR PYTHON OUT_JSON JOURNAL_DIR)
   endif()
 endforeach()
 
+file(REMOVE_RECURSE "${JOURNAL_DIR}")
+
+# Runs tupelo_serve with `flag` and fails unless it exits 2 with the usage
+# text. The timeout turns a daemon that starts anyway into a failure
+# instead of a hang.
+function(expect_usage flag)
+  execute_process(
+    COMMAND "${SERVE_BIN}" "--journal-dir=${JOURNAL_DIR}" ${flag}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    TIMEOUT 10
+  )
+  if(NOT "${rc}" STREQUAL "2" OR NOT err MATCHES "usage: tupelo_serve")
+    message(FATAL_ERROR
+            "serve_smoke: tupelo_serve ${flag} exited '${rc}', expected 2 "
+            "with usage text\nstdout:\n${out}\nstderr:\n${err}")
+  endif()
+  message(STATUS "serve_smoke: ${flag} -> usage")
+endfunction()
+
+expect_usage("--default-deadline-ms=-5")
+expect_usage("--port=70000")
+expect_usage("--workers=abc")
+expect_usage("--workers=4x")
+expect_usage("--retries=2")
+expect_usage("--wokers=2")
 file(REMOVE_RECURSE "${JOURNAL_DIR}")
 
 # Half the jobs are unsatisfiable so searches are reliably in flight when

@@ -154,11 +154,6 @@ void MappingProblem::TrimCaches() const {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.cache.clear();
   }
-  // Rare (supervisor-triggered), so the counter is looked up on demand
-  // instead of being resolved in set_metrics like the hot-path ones.
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("expand.cache_trims").Increment();
-  }
 }
 
 std::vector<Op> MappingProblem::CandidateOps(const Database& state) const {

@@ -191,11 +191,9 @@ class MappingProblem {
   // and duplicate-state filtering. Exposed for tests and ablations.
   std::vector<Op> CandidateOps(const Database& state) const;
 
-  // Drops the Expand transposition cache and every estimate-cache shard —
-  // the supervisor's soft memory-relief lever (runtime/supervisor.h).
-  // Thread-safe; may run concurrently with a search, which simply starts
-  // repopulating the caches. Counts into expand.cache_trims when metrics
-  // are attached.
+  // Drops the Expand transposition cache and every estimate-cache shard,
+  // so the next Expand/estimate runs cold (benchmarks and tests reset
+  // between measurements with it). Thread-safe.
   void TrimCaches() const;
 
  private:

@@ -1,7 +1,6 @@
 #include "core/tupelo.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -427,12 +426,10 @@ Result<TupeloResult> Tupelo::Discover(const TupeloOptions& options) const {
   // search's own barrier has released.
   const bool supervised = options.supervisor.enabled;
   HeartbeatSlot heartbeat;
-  std::atomic<uint32_t> width_pressure{0};
   std::unique_ptr<StateQuarantine> quarantine;
   std::unique_ptr<runtime::Supervisor> supervisor;
   if (supervised) {
-    quarantine =
-        std::make_unique<StateQuarantine>(options.supervisor.quarantine_capacity);
+    quarantine = std::make_unique<StateQuarantine>(1024);
     supervisor = std::make_unique<runtime::Supervisor>(options.supervisor,
                                                        metrics, trace);
   }
@@ -523,13 +520,9 @@ Result<TupeloResult> Tupelo::Discover(const TupeloOptions& options) const {
         attempt_limits.cancel = &rung_token;
         attempt_limits.heartbeat = &heartbeat;
         attempt_limits.quarantine = quarantine.get();
-        attempt_limits.width_pressure = &width_pressure;
         runtime::WatchSpec spec;
         spec.heartbeat = &heartbeat;
         spec.preempt = &rung_token;
-        spec.max_memory_nodes = attempt_limits.max_memory_nodes;
-        spec.memory_relief = [&problem] { problem.TrimCaches(); };
-        spec.width_pressure = &width_pressure;
         spec.label = SearchAlgorithmName(ladder[i].algorithm).data();
         watch_id = supervisor->Watch(spec);
       }
@@ -541,21 +534,17 @@ Result<TupeloResult> Tupelo::Discover(const TupeloOptions& options) const {
                   resumed_rung ? &resume_seed : nullptr, trace);
       double rung_millis = MillisSince(rung_start);
 
-      runtime::PreemptReason why = runtime::PreemptReason::kNone;
+      bool stalled = false;
       if (watch_id >= 0) {
-        why = supervisor->preemption(watch_id);
+        stalled = supervisor->stalled(watch_id);
         supervisor->Unwatch(watch_id);
       }
       // The rung observed its preempt token as a plain cancel; rewrite
-      // the stop to what the supervisor actually diagnosed. A genuine
+      // the stop to the stall the supervisor diagnosed. A genuine
       // caller/kill cancel wins over any concurrent preemption.
-      if (outcome.stop == StopReason::kCancelled &&
+      if (stalled && outcome.stop == StopReason::kCancelled &&
           !(ladder_cancel != nullptr && ladder_cancel->cancelled())) {
-        if (why == runtime::PreemptReason::kStall) {
-          outcome.stop = StopReason::kStalled;
-        } else if (why == runtime::PreemptReason::kMemory) {
-          outcome.stop = StopReason::kMemory;
-        }
+        outcome.stop = StopReason::kStalled;
       }
 
       result.rungs.push_back(RungAttempt{ladder[i].algorithm, outcome.stop,
@@ -643,8 +632,6 @@ Result<TupeloResult> Tupelo::Discover(const TupeloOptions& options) const {
 
   if (supervised) {
     result.stall_preemptions = supervisor->stall_preemptions();
-    result.memory_reliefs =
-        supervisor->memory_reliefs() + supervisor->width_trims();
     result.states_quarantined = quarantine->poisoned();
     if (metrics != nullptr && result.states_quarantined > 0) {
       metrics->GetCounter("supervisor.states_quarantined")

@@ -113,12 +113,10 @@ struct TupeloOptions {
   // heartbeats into it, a hung rung is preempted within
   // supervisor.stall_window_millis (StopReason::kStalled) and retried
   // with exponential backoff up to supervisor.max_rung_retries times
-  // before the ladder advances; memory pressure against
-  // limits.max_memory_nodes degrades in stages (trim the problem's
-  // caches, then halve the beam width, then preempt to the next rung)
-  // instead of tripping a hard kMemory; and every rung runs with a
-  // poison-state quarantine, so an exception escaping Expand/ApplyOp
-  // quarantines the offending state instead of aborting the run.
+  // before the ladder advances; and every rung runs with a poison-state
+  // quarantine, so an exception escaping Expand/ApplyOp quarantines the
+  // offending state instead of aborting the run. limits.max_memory_nodes
+  // stays a hard bound (StopReason::kMemory) with or without supervision.
   runtime::SupervisorConfig supervisor;
   // Optional metric registry (nullable; default off). When set, the run
   // populates search.*, heuristic.*, executor.*, phase.* and governor.*
@@ -205,12 +203,10 @@ struct TupeloResult {
   int resume_rungs_skipped = 0;
   uint64_t checkpoint_writes = 0;
   // Supervision bookkeeping (all zero unless options.supervisor.enabled):
-  // hung rungs the watchdog preempted, soft memory-relief interventions
-  // (cache trims; width trims count here too), stall retries the ladder
-  // granted, and poison states quarantined during the run. Mirrored into
-  // the supervisor.* metrics.
+  // hung rungs the watchdog preempted, stall retries the ladder granted,
+  // and poison states quarantined during the run. Mirrored into the
+  // supervisor.* metrics.
   uint64_t stall_preemptions = 0;
-  uint64_t memory_reliefs = 0;
   uint64_t rung_retries = 0;
   uint64_t states_quarantined = 0;
 };

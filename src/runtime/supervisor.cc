@@ -5,18 +5,6 @@
 
 namespace tupelo::runtime {
 
-namespace {
-
-// Watermark in nodes for a fraction of the bound; a fraction <= 0
-// disables the stage, a fraction >= 1 coincides with the hard limit.
-uint64_t Watermark(uint64_t max_nodes, double fraction) {
-  if (max_nodes == 0 || fraction <= 0.0) return 0;
-  if (fraction >= 1.0) return max_nodes;
-  return static_cast<uint64_t>(static_cast<double>(max_nodes) * fraction);
-}
-
-}  // namespace
-
 Supervisor::Supervisor(const SupervisorConfig& config,
                        obs::MetricRegistry* metrics, obs::TraceSession* trace)
     : config_(config), metrics_(metrics), trace_(trace) {
@@ -53,12 +41,12 @@ void Supervisor::Unwatch(int64_t id) {
                  watches_.end());
 }
 
-PreemptReason Supervisor::preemption(int64_t id) const {
+bool Supervisor::stalled(int64_t id) const {
   std::lock_guard<std::mutex> lock(mu_);
   for (const Watched& w : watches_) {
-    if (w.id == id) return w.preempted;
+    if (w.id == id) return w.stalled;
   }
-  return PreemptReason::kNone;
+  return false;
 }
 
 void Supervisor::Loop() {
@@ -78,66 +66,10 @@ void Supervisor::Loop() {
 void Supervisor::TickLocked(std::chrono::steady_clock::time_point now) {
   const auto window = std::chrono::milliseconds(config_.stall_window_millis);
   for (Watched& w : watches_) {
-    if (w.preempted != PreemptReason::kNone) continue;  // already handled
+    if (w.stalled) continue;  // already handled
     const HeartbeatSlot* hb = w.spec.heartbeat;
     const uint64_t beats = hb->beats.load(std::memory_order_relaxed);
     const uint64_t states = hb->states.load(std::memory_order_relaxed);
-    const uint64_t memory = hb->memory_nodes.load(std::memory_order_relaxed);
-
-    // Memory staging first: a rung thrashing against its memory bound is
-    // often still "alive" by the beat counter, and relief may be all it
-    // needs to avoid stalling later.
-    if (w.spec.max_memory_nodes > 0) {
-      const uint64_t soft =
-          Watermark(w.spec.max_memory_nodes, config_.memory_soft_fraction);
-      const uint64_t trim =
-          Watermark(w.spec.max_memory_nodes, config_.memory_trim_fraction);
-      const uint64_t hard =
-          Watermark(w.spec.max_memory_nodes, config_.memory_hard_fraction);
-      if (w.memory_stage < 1 && soft > 0 && memory >= soft) {
-        w.memory_stage = 1;
-        if (w.spec.memory_relief) w.spec.memory_relief();
-        memory_reliefs_.fetch_add(1, std::memory_order_relaxed);
-        if (metrics_ != nullptr) {
-          metrics_->GetCounter("supervisor.memory_reliefs").Increment();
-        }
-        if (trace_ != nullptr) {
-          trace_->EmitInstant(obs::TraceCategory::kFault,
-                              "supervisor.memory_relief", "nodes",
-                              static_cast<int64_t>(memory));
-        }
-      }
-      if (w.memory_stage < 2 && trim > 0 && memory >= trim) {
-        w.memory_stage = 2;
-        if (w.spec.width_pressure != nullptr) {
-          w.spec.width_pressure->fetch_add(1, std::memory_order_relaxed);
-        }
-        width_trims_.fetch_add(1, std::memory_order_relaxed);
-        if (metrics_ != nullptr) {
-          metrics_->GetCounter("supervisor.width_trims").Increment();
-        }
-        if (trace_ != nullptr) {
-          trace_->EmitInstant(obs::TraceCategory::kFault,
-                              "supervisor.width_trim", "nodes",
-                              static_cast<int64_t>(memory));
-        }
-      }
-      if (w.memory_stage < 3 && hard > 0 && memory >= hard) {
-        w.memory_stage = 3;
-        w.preempted = PreemptReason::kMemory;
-        w.spec.preempt->Cancel();
-        memory_preemptions_.fetch_add(1, std::memory_order_relaxed);
-        if (metrics_ != nullptr) {
-          metrics_->GetCounter("supervisor.memory_preemptions").Increment();
-        }
-        if (trace_ != nullptr) {
-          trace_->EmitInstant(obs::TraceCategory::kFault,
-                              "supervisor.memory_preempt", "nodes",
-                              static_cast<int64_t>(memory));
-        }
-        continue;
-      }
-    }
 
     // Liveness: any movement of the beat or progress counters resets the
     // stall clock; silence past the window preempts the rung.
@@ -148,7 +80,7 @@ void Supervisor::TickLocked(std::chrono::steady_clock::time_point now) {
       continue;
     }
     if (now - w.last_progress >= window) {
-      w.preempted = PreemptReason::kStall;
+      w.stalled = true;
       w.spec.preempt->Cancel();
       stall_preemptions_.fetch_add(1, std::memory_order_relaxed);
       if (metrics_ != nullptr) {

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -17,39 +16,26 @@
 namespace tupelo::runtime {
 
 // The self-healing supervision layer: one watchdog thread that watches
-// the liveness and memory pressure of running search rungs and intervenes
+// the liveness of running search rungs and preempts a hung one
 // mid-flight instead of letting a run die at deadline expiry.
 //
-// How it connects to the search runtime:
+// How it connects to the search runtime: every supervised rung gets a
+// HeartbeatSlot (search/search_types.h). The search stamps it from the
+// BudgetGuard's amortized poll tick, and the thread pool bumps its
+// `beats` once per task — both relaxed atomic writes the hot path was
+// effectively already paying. The watchdog samples the slot every
+// `tick_millis`; if neither `beats` nor `states` has moved for
+// `stall_window_millis` the rung is declared hung (a wedged Expand, an
+// injected delay, a deadlock) and its preempt CancelToken is cancelled.
+// The rung returns kCancelled promptly; the driver (core/tupelo.cc) reads
+// the sticky stalled() flag, rewrites the stop to kStalled, and either
+// retries the rung with exponential backoff (transient faults) or
+// advances the degradation ladder.
 //
-//  * Liveness. Every supervised rung gets a HeartbeatSlot
-//    (search/search_types.h). The search stamps it from the BudgetGuard's
-//    amortized poll tick, and the thread pool bumps its `beats` once per
-//    task — both relaxed atomic writes the hot path was effectively
-//    already paying. The watchdog samples the slot every `tick_millis`;
-//    if neither `beats` nor `states` has moved for `stall_window_millis`
-//    the rung is declared hung (a wedged Expand, an injected delay, a
-//    deadlock) and its preempt CancelToken is cancelled. The rung
-//    returns kCancelled promptly; the driver (core/tupelo.cc) reads the
-//    sticky PreemptReason, rewrites the stop to kStalled, and either
-//    retries the rung with exponential backoff (transient faults) or
-//    advances the degradation ladder.
+// Memory is not the supervisor's concern: SearchLimits::max_memory_nodes
+// is a hard bound the BudgetGuard enforces (StopReason::kMemory).
 //
-//  * Memory. When a watch declares `max_memory_nodes`, the watchdog
-//    stages degradation against watermark fractions of that bound
-//    instead of letting the BudgetGuard trip a hard kMemory:
-//      soft  (memory_soft_fraction)  -> run the watch's `memory_relief`
-//                                       callback (shrink the Expand LRU
-//                                       and estimate caches);
-//      trim  (memory_trim_fraction)  -> raise `width_pressure`, halving
-//                                       the effective beam width;
-//      hard  (memory_hard_fraction)  -> preempt the rung (PreemptReason
-//                                       kMemory; the driver degrades to
-//                                       the next rung).
-//    Stages only move forward within one watch; each transition fires at
-//    most once per attempt.
-//
-// Every intervention increments a supervisor.* counter and emits a
+// Every preemption increments supervisor.stall_preemptions and emits a
 // kFault trace instant, so an armed flight recorder dumps the run's last
 // events around the intervention (docs/OBSERVABILITY.md).
 //
@@ -68,44 +54,17 @@ struct SupervisorConfig {
   int64_t tick_millis = 20;
   // No heartbeat/progress for this long => the rung is hung.
   int64_t stall_window_millis = 500;
-  // Memory watermarks, as fractions of the watch's max_memory_nodes.
-  double memory_soft_fraction = 0.70;
-  double memory_trim_fraction = 0.85;
-  double memory_hard_fraction = 0.95;
   // Stall-preempted rungs are retried this many times before the ladder
   // advances; the pause before retry i doubles each time.
   int max_rung_retries = 1;
   int64_t retry_backoff_millis = 20;
-  // Bound on the poison-state denylist (see StateQuarantine).
-  size_t quarantine_capacity = 1024;
 };
 
-// Why the supervisor cancelled a watch's preempt token (kNone: it did
-// not).
-enum class PreemptReason { kNone, kStall, kMemory };
-
-inline const char* PreemptReasonName(PreemptReason reason) {
-  switch (reason) {
-    case PreemptReason::kNone:
-      return "none";
-    case PreemptReason::kStall:
-      return "stall";
-    case PreemptReason::kMemory:
-      return "memory";
-  }
-  return "unknown";
-}
-
 // One supervised activity. `heartbeat` and `preempt` are required and
-// must outlive the watch (Watch .. Unwatch). `memory_relief` may be
-// called from the watchdog thread concurrently with the search and must
-// be thread-safe (MappingProblem::TrimCaches is).
+// must outlive the watch (Watch .. Unwatch).
 struct WatchSpec {
   const HeartbeatSlot* heartbeat = nullptr;
   CancelToken* preempt = nullptr;
-  uint64_t max_memory_nodes = 0;  // 0 = no memory staging for this watch
-  std::function<void()> memory_relief;
-  std::atomic<uint32_t>* width_pressure = nullptr;
   const char* label = "";  // string literal; lands in trace instants
 };
 
@@ -126,22 +85,13 @@ class Supervisor {
   // Deregisters; the id's sticky preemption state is discarded.
   void Unwatch(int64_t id);
 
-  // Sticky: why this watch was preempted (kNone while healthy). Valid
+  // Sticky: whether the watchdog preempted this watch as hung. Valid
   // from Watch until Unwatch.
-  PreemptReason preemption(int64_t id) const;
+  bool stalled(int64_t id) const;
 
   // Lifetime totals across all watches.
   uint64_t stall_preemptions() const {
     return stall_preemptions_.load(std::memory_order_relaxed);
-  }
-  uint64_t memory_reliefs() const {
-    return memory_reliefs_.load(std::memory_order_relaxed);
-  }
-  uint64_t width_trims() const {
-    return width_trims_.load(std::memory_order_relaxed);
-  }
-  uint64_t memory_preemptions() const {
-    return memory_preemptions_.load(std::memory_order_relaxed);
   }
 
   const SupervisorConfig& config() const { return config_; }
@@ -153,8 +103,7 @@ class Supervisor {
     uint64_t last_beats = 0;
     uint64_t last_states = 0;
     std::chrono::steady_clock::time_point last_progress;
-    PreemptReason preempted = PreemptReason::kNone;
-    int memory_stage = 0;  // 0 none, 1 relieved, 2 width-trimmed, 3 hard
+    bool stalled = false;
   };
 
   void Loop();
@@ -171,9 +120,6 @@ class Supervisor {
   std::vector<Watched> watches_;
 
   std::atomic<uint64_t> stall_preemptions_{0};
-  std::atomic<uint64_t> memory_reliefs_{0};
-  std::atomic<uint64_t> width_trims_{0};
-  std::atomic<uint64_t> memory_preemptions_{0};
 
   std::thread watchdog_;  // last member: started after everything above
 };

@@ -241,20 +241,16 @@ SearchOutcome<typename P::Action> ParallelBeamSearch(
     }
     if (next_level.empty()) return ctx.Finish();  // beam ran dry
 
-    // Keep the beam_width best by h (stable within ties). The supervisor
-    // can narrow the effective width mid-run via width pressure (staged
-    // memory degradation); pressure-free this is the configured width.
-    const size_t level_width =
-        EffectiveBeamWidth(beam_width, limits.width_pressure);
-    if (next_level.size() > level_width) {
+    // Keep the beam_width best by h (stable within ties).
+    if (next_level.size() > beam_width) {
       if (trace != nullptr) {
         trace->EmitInstant(
             obs::TraceCategory::kSearch, "beam.dropped", "dropped",
-            static_cast<int64_t>(next_level.size() - level_width), "level",
+            static_cast<int64_t>(next_level.size() - beam_width), "level",
             depth);
       }
       std::stable_sort(next_level.begin(), next_level.end(), by_h);
-      next_level.resize(level_width);
+      next_level.resize(beam_width);
     }
     frontier = std::move(next_level);
   }

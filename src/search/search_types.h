@@ -220,18 +220,14 @@ class CancelToken {
 // paying for governance. The supervisor thread reads the slot
 // periodically: `beats` unchanged and `states` flat across a stall window
 // means the rung is hung (a wedged Expand, an injected delay, a deadlock)
-// and it gets preempted. `memory_nodes` mirrors the algorithm's memory
-// proxy so the supervisor can stage memory degradation before the hard
-// limit trips.
+// and it gets preempted.
 struct HeartbeatSlot {
   std::atomic<uint64_t> beats{0};
   std::atomic<uint64_t> states{0};
-  std::atomic<uint64_t> memory_nodes{0};
 
-  void Beat(uint64_t states_examined, uint64_t memory) {
+  void Beat(uint64_t states_examined) {
     beats.fetch_add(1, std::memory_order_relaxed);
     states.store(states_examined, std::memory_order_relaxed);
-    memory_nodes.store(memory, std::memory_order_relaxed);
   }
 };
 
@@ -412,31 +408,14 @@ struct SearchLimits {
   // ignored. See SearchSeed for what each algorithm captures.
   CheckpointSinkBase* checkpoint_sink = nullptr;
   // Liveness beacon for the watchdog supervisor (not owned, may be null).
-  // Stamped on the amortized poll tick with the current states/memory
-  // progress; see HeartbeatSlot.
+  // Stamped on the amortized poll tick with the states examined so far;
+  // see HeartbeatSlot.
   HeartbeatSlot* heartbeat = nullptr;
   // Poison-state denylist (not owned, may be null). When set, every
   // expansion goes through GuardedExpand: quarantined states produce no
   // successors and a throwing Expand quarantines instead of unwinding.
   StateQuarantine* quarantine = nullptr;
-  // Supervisor-driven width pressure (not owned, may be null). Beam-family
-  // algorithms halve their effective beam width once per pressure level
-  // (never below 1) — the staged-degradation lever between cache trimming
-  // and a hard memory stop.
-  const std::atomic<uint32_t>* width_pressure = nullptr;
 };
-
-// The beam width after supervisor width pressure: halved once per
-// pressure level, floored at 1. Pressure-free (the default) is the
-// configured width untouched.
-inline size_t EffectiveBeamWidth(size_t beam_width,
-                                 const std::atomic<uint32_t>* pressure) {
-  if (pressure == nullptr) return beam_width;
-  const uint32_t level = pressure->load(std::memory_order_relaxed);
-  if (level >= 63) return 1;
-  const size_t width = beam_width >> level;
-  return width == 0 ? 1 : width;
-}
 
 // Shared limit-tripping logic for the search algorithms: one object per
 // search call (owned by its SearchContext), consulted once per visited
@@ -472,7 +451,7 @@ class BudgetGuard {
       ticks_left_ = limits_.check_interval;
       checkpoint_due_ = limits_.checkpoint_sink != nullptr;
       if (limits_.heartbeat != nullptr) {
-        limits_.heartbeat->Beat(states_examined, memory_nodes);
+        limits_.heartbeat->Beat(states_examined);
       }
       if (limits_.cancel != nullptr && limits_.cancel->cancelled()) {
         return StopReason::kCancelled;

@@ -588,7 +588,6 @@ void JobManager::RunJob(Job& job) {
 
   Result<TupeloResult> outcome = Status::Internal("job never ran");
   bool ran = false;
-  int attempts = 0;
   double run_millis = 0.0;
   if (remaining > 0) {
     Result<Database> source = ParseTdb(job.spec.source_tdb);
@@ -606,11 +605,12 @@ void JobManager::RunJob(Job& job) {
       options.heuristic = *ParseHeuristicKind(job.spec.heuristic);
       options.beam_width = job.spec.beam_width;
       options.limits.max_states = states;
-      options.limits.max_memory_nodes = config_.max_memory_nodes_per_job;
+      options.limits.deadline_millis = remaining;
       options.limits.cancel = job.token.get();
       options.pool = pool_.get();
       options.checkpoint_path = JournalPath(job.status.id, ".tck");
       options.checkpoint_interval_states = config_.checkpoint_interval_states;
+      options.resume = job.recovered;
       options.metrics = config_.metrics;
       options.trace = config_.trace;
       if (job.spec.supervise) {
@@ -631,35 +631,11 @@ void JobManager::RunJob(Job& job) {
         BumpVersion(job);
       };
 
-      // Retry-with-backoff on transient outcomes: a stall preemption or
-      // an internal fault re-runs the job from its last checkpoint, which
-      // the previous attempt left on disk.
+      // A stalled rung is retried inside Discover (max_rung_retries);
+      // the job itself runs once.
       Clock::time_point run_start = Clock::now();
-      for (;;) {
-        options.resume = job.recovered || attempts > 0;
-        options.limits.deadline_millis =
-            std::max<int64_t>(1, remaining - static_cast<int64_t>(
-                                                 MillisSince(run_start)));
-        outcome = tupelo.Discover(options);
-        ran = true;
-        bool transient =
-            (outcome.ok() &&
-             outcome->stop_reason == StopReason::kStalled) ||
-            (!outcome.ok() &&
-             outcome.status().code() == StatusCode::kInternal);
-        bool budget_left =
-            remaining - static_cast<int64_t>(MillisSince(run_start)) > 1;
-        if (!transient || attempts >= config_.max_job_retries ||
-            !budget_left || job.token->cancelled()) {
-          break;
-        }
-        ++attempts;
-        if (config_.metrics != nullptr) {
-          config_.metrics->GetCounter("serve.jobs.retries").Increment();
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            config_.retry_backoff_millis * (int64_t{1} << (attempts - 1))));
-      }
+      outcome = tupelo.Discover(options);
+      ran = true;
       run_millis = MillisSince(run_start);
     }
   }
@@ -677,7 +653,6 @@ void JobManager::RunJob(Job& job) {
     return;
   }
   job.status.state = JobState::kDone;
-  job.status.retries = attempts;
   job.status.run_millis = run_millis;
   job.status.total_millis = MillisSince(job.submitted_at);
   if (remaining <= 0) {
@@ -696,6 +671,7 @@ void JobManager::RunJob(Job& job) {
     job.status.states_examined = r.stats.states_examined;
     job.status.best_h = r.partial_h;
     job.status.resumed = r.resumed;
+    job.status.retries = static_cast<int>(r.rung_retries);
     if (r.found) job.status.script = r.mapping.ToScript();
     if (!r.partial_mapping.steps().empty() || r.partial_h >= 0) {
       job.status.partial_script = r.partial_mapping.ToScript();

@@ -76,7 +76,7 @@ struct JobStatus {
   double queue_millis = 0.0;
   double run_millis = 0.0;
   double total_millis = 0.0;  // submit → terminal, what clients perceive
-  int retries = 0;
+  int retries = 0;  // stalled-rung retries Discover granted (rung_retries)
   bool resumed = false;  // restarted from a crash-recovered checkpoint
 };
 
@@ -115,14 +115,9 @@ struct JobManagerConfig {
   uint64_t fair_states_per_job = 200000;
   int64_t default_deadline_millis = 2000;
   int64_t max_deadline_millis = 60000;
-  uint64_t max_memory_nodes_per_job = 0;  // 0 = unlimited
   uint64_t checkpoint_interval_states = 256;
-  // Transient-fault retry: a job stopping on kStalled (or whose Discover
-  // call fails with a non-configuration error) is re-run from its last
-  // checkpoint up to this many times, with exponential backoff.
-  int max_job_retries = 2;
-  int64_t retry_backoff_millis = 10;
-  // Supervisor template for jobs submitted with supervise=true.
+  // Supervisor template for jobs submitted with supervise=true; its
+  // max_rung_retries bounds how often a stalled rung is re-run.
   runtime::SupervisorConfig supervisor;
   // Retention: keep at most this many completed-job journal triples on
   // disk (oldest pruned first); 0 keeps everything.

@@ -2,8 +2,8 @@
 // and typed shedding, fair-share scheduling of concurrent jobs over one
 // shared pool, parented CancelToken trees (sibling isolation, disconnect
 // races), deadline propagation through queue time, crash-durable
-// journaling with boot-time recovery, stale-tmp sweep and retention
-// (docs/SERVING.md). The TCP shell gets one end-to-end pass; everything
+// journaling with boot-time recovery, stale-tmp sweep and retention,
+// and stall recovery for supervised jobs (docs/SERVING.md). The TCP shell gets one end-to-end pass; everything
 // else drives JobManager directly.
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/checkpoint.h"
+#include "fira/executor.h"
 #include "obs/metrics.h"
 #include "relational/io.h"
 #include "serve/client.h"
@@ -211,6 +212,45 @@ TEST(JobManagerTest, RunsAJobToVerifiedCompletion) {
   // Terminal record + spec journal are both durable.
   EXPECT_TRUE(dir.Has(outcome->job_id + ".done"));
   EXPECT_TRUE(dir.Has(outcome->job_id + ".job"));
+  manager.Shutdown();
+}
+
+// A supervised job whose first attempt wedges on a one-shot injected
+// operator delay: the watchdog preempts the rung, Discover retries it in
+// place, and the job still ends found and verified, with the one rung
+// retry reported as the job's `retries`. The pair is large enough that
+// the search polls its cancel token (every 16 visits) after the delay
+// and before it can reach the goal.
+TEST(JobManagerTest, StalledSupervisedJobRecoversThroughRungRetry) {
+  JournalDir dir("stall");
+  JobManagerConfig config = BaseConfig(dir);
+  config.workers = 1;
+  config.supervisor.tick_millis = 5;
+  config.supervisor.stall_window_millis = 50;
+  obs::MetricRegistry metrics;
+  config.metrics = &metrics;
+  JobManager manager(config);
+  ASSERT_TRUE(manager.Start().ok());
+
+  FaultInjector injector;
+  SetFaultInjector(&injector);
+  injector.ArmEveryNth("*", Status::Internal("wedged"), 2);
+  injector.SetKind(FaultInjector::Kind::kDelay, 400);
+  injector.SetMaxFires(1);
+
+  JobSpec spec = EasyJob(5);
+  spec.supervise = true;
+  Result<SubmitOutcome> outcome = manager.Submit(spec);
+  ASSERT_TRUE(outcome.ok() && outcome->accepted);
+  Result<JobStatus> status = manager.WaitTerminal(outcome->job_id, 20000);
+  SetFaultInjector(nullptr);
+  ASSERT_TRUE(status.ok()) << status.status();
+  EXPECT_EQ(status->state, JobState::kDone);
+  EXPECT_TRUE(status->found);
+  EXPECT_TRUE(status->verified);
+  EXPECT_EQ(status->stop_reason, "found");
+  EXPECT_EQ(status->retries, 1);
+  EXPECT_EQ(metrics.CounterValue("supervisor.stall_preemptions"), 1u);
   manager.Shutdown();
 }
 

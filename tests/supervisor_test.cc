@@ -1,10 +1,8 @@
 // The self-healing runtime (runtime/supervisor.h): watchdog stall
-// preemption, staged memory degradation, the poison-state quarantine,
-// and the supervised Discover ladder end-to-end (docs/ROBUSTNESS.md,
-// "Supervision contract").
+// preemption, the poison-state quarantine, and the supervised Discover
+// ladder end-to-end (docs/ROBUSTNESS.md, "Supervision contract").
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -21,7 +19,6 @@
 namespace tupelo {
 namespace {
 
-using runtime::PreemptReason;
 using runtime::Supervisor;
 using runtime::SupervisorConfig;
 using runtime::WatchSpec;
@@ -79,7 +76,7 @@ TEST(SupervisorTest, SilentHeartbeatIsPreemptedWithinStallWindow) {
   ASSERT_GE(id, 0);
 
   EXPECT_TRUE(WaitFor([&] { return preempt.cancelled(); }));
-  EXPECT_EQ(supervisor.preemption(id), PreemptReason::kStall);
+  EXPECT_TRUE(supervisor.stalled(id));
   supervisor.Unwatch(id);
   EXPECT_EQ(supervisor.stall_preemptions(), 1u);
 }
@@ -99,59 +96,13 @@ TEST(SupervisorTest, BeatingHeartbeatIsNeverPreempted) {
              std::chrono::milliseconds(150);
   uint64_t states = 0;
   while (std::chrono::steady_clock::now() < end) {
-    slot.Beat(++states, 0);
+    slot.Beat(++states);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   EXPECT_FALSE(preempt.cancelled());
-  EXPECT_EQ(supervisor.preemption(id), PreemptReason::kNone);
+  EXPECT_FALSE(supervisor.stalled(id));
   supervisor.Unwatch(id);
   EXPECT_EQ(supervisor.stall_preemptions(), 0u);
-}
-
-TEST(SupervisorTest, MemoryPressureStagesReliefThenTrimThenPreempt) {
-  SupervisorConfig config = FastConfig();
-  config.stall_window_millis = 60000;  // isolate the memory ladder
-  Supervisor supervisor(config);
-
-  HeartbeatSlot slot;
-  CancelToken preempt;
-  std::atomic<uint32_t> pressure{0};
-  std::atomic<int> reliefs{0};
-  WatchSpec spec;
-  spec.heartbeat = &slot;
-  spec.preempt = &preempt;
-  spec.max_memory_nodes = 100;
-  spec.memory_relief = [&reliefs] { ++reliefs; };
-  spec.width_pressure = &pressure;
-  int64_t id = supervisor.Watch(spec);
-  ASSERT_GE(id, 0);
-
-  uint64_t states = 0;
-  // Below the soft watermark: no intervention.
-  slot.Beat(++states, 50);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(reliefs.load(), 0);
-
-  // Soft watermark (70%): the relief callback runs, once.
-  slot.Beat(++states, 75);
-  EXPECT_TRUE(WaitFor([&] { return reliefs.load() == 1; }));
-  EXPECT_EQ(pressure.load(), 0u);
-
-  // Trim watermark (85%): width pressure rises.
-  slot.Beat(++states, 90);
-  EXPECT_TRUE(WaitFor([&] { return pressure.load() == 1; }));
-  EXPECT_FALSE(preempt.cancelled());
-
-  // Hard watermark (95%): the rung is preempted.
-  slot.Beat(++states, 99);
-  EXPECT_TRUE(WaitFor([&] { return preempt.cancelled(); }));
-  EXPECT_EQ(supervisor.preemption(id), PreemptReason::kMemory);
-  supervisor.Unwatch(id);
-
-  EXPECT_EQ(supervisor.memory_reliefs(), 1u);
-  EXPECT_EQ(supervisor.width_trims(), 1u);
-  EXPECT_EQ(supervisor.memory_preemptions(), 1u);
-  EXPECT_EQ(reliefs.load(), 1);  // stages fire at most once per watch
 }
 
 TEST(SupervisorTest, InvalidWatchSpecIsRejected) {
@@ -165,26 +116,12 @@ TEST(SupervisorTest, InvalidWatchSpecIsRejected) {
 
 TEST(SupervisorTest, UnwatchedIdReportsNoPreemption) {
   Supervisor supervisor(FastConfig());
-  EXPECT_EQ(supervisor.preemption(42), PreemptReason::kNone);
+  EXPECT_FALSE(supervisor.stalled(42));
 }
 
 // ---------------------------------------------------------------------------
-// EffectiveBeamWidth / StateQuarantine / GuardedExpand units
+// StateQuarantine / GuardedExpand units
 // ---------------------------------------------------------------------------
-
-TEST(SupervisorTest, EffectiveBeamWidthHalvesUnderPressure) {
-  std::atomic<uint32_t> pressure{0};
-  EXPECT_EQ(EffectiveBeamWidth(8, &pressure), 8u);
-  pressure.store(1);
-  EXPECT_EQ(EffectiveBeamWidth(8, &pressure), 4u);
-  pressure.store(2);
-  EXPECT_EQ(EffectiveBeamWidth(8, &pressure), 2u);
-  pressure.store(5);
-  EXPECT_EQ(EffectiveBeamWidth(8, &pressure), 1u);  // floor, never 0
-  pressure.store(200);
-  EXPECT_EQ(EffectiveBeamWidth(8, &pressure), 1u);
-  EXPECT_EQ(EffectiveBeamWidth(8, nullptr), 8u);
-}
 
 TEST(SupervisorTest, QuarantineBoundsItsDenylist) {
   StateQuarantine quarantine(2);
@@ -337,6 +274,43 @@ TEST(SupervisorTest, ExhaustedRetriesSurfaceStalledStop) {
   EXPECT_GE(r->partial_h, 0);  // anytime contract survives preemption
 }
 
+// The memory bound is the BudgetGuard's hard limit with or without the
+// watchdog: a supervised ladder whose IDA* rung outgrows a small
+// max_memory_nodes stops that rung on kMemory — not a preemption
+// (kCancelled/kStalled) — and falls through to the beam rung.
+TEST(SupervisorTest, SupervisedMemoryBoundStopsRungAndAdvancesLadder) {
+  Database source = Tdb(
+      "relation R (A0, A1, A2, A3, A4, A5) { (a, b, c, d, e, f) }");
+  Database target = Tdb(
+      "relation R (B0, B1, B2, B3, B4, B5, Z) { (a, b, c, d, e, f, zz) }");
+  Tupelo system(source, target);
+
+  TupeloOptions options;
+  options.ladder = DefaultLadder();
+  options.supervisor = FastConfig();
+  options.limits.max_memory_nodes = 40;
+  options.limits.max_states = 200000;
+  obs::MetricRegistry metrics;
+  options.metrics = &metrics;
+
+  Result<TupeloResult> r = system.Discover(options);
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_GE(r->rungs.size(), 2u);
+  EXPECT_EQ(r->rungs[0].algorithm, SearchAlgorithm::kIda);
+  EXPECT_EQ(r->rungs[0].stop, StopReason::kMemory);
+  EXPECT_EQ(r->rungs[1].algorithm, SearchAlgorithm::kBeam);
+  EXPECT_EQ(r->stop_reason, StopReason::kMemory);
+  for (const RungAttempt& rung : r->rungs) {
+    EXPECT_NE(rung.stop, StopReason::kCancelled);
+    EXPECT_NE(rung.stop, StopReason::kStalled);
+  }
+  EXPECT_EQ(r->stall_preemptions, 0u);
+  EXPECT_EQ(r->rung_retries, 0u);
+  EXPECT_EQ(r->states_quarantined, 0u);
+  EXPECT_EQ(metrics.CounterValue("supervisor.stall_preemptions"), 0u);
+  EXPECT_GE(metrics.CounterValue("governor.memory_trips"), 1u);
+}
+
 // Poison states end-to-end: throwing operator faults under supervision
 // must quarantine and finish cleanly, never crash.
 TEST(SupervisorTest, ThrowingFaultsAreQuarantinedEndToEnd) {
@@ -434,7 +408,6 @@ TEST(SupervisorTest, HealthySupervisedRunMatchesUnsupervised) {
   EXPECT_EQ(a->found, b->found);
   EXPECT_EQ(a->mapping.ToScript(), b->mapping.ToScript());
   EXPECT_EQ(b->stall_preemptions, 0u);
-  EXPECT_EQ(b->memory_reliefs, 0u);
   EXPECT_EQ(b->states_quarantined, 0u);
 }
 

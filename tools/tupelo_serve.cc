@@ -5,7 +5,11 @@
 //                [--queue-limit=N] [--pool-threads=N] [--fair-states=N]
 //                [--default-deadline-ms=N] [--max-deadline-ms=N]
 //                [--checkpoint-interval=N] [--checkpoint-keep=N]
-//                [--retries=N] [--trace=trace.json]
+//                [--trace=trace.json]
+//
+// An unknown flag or a malformed numeric value (a sign, trailing junk, an
+// overflow, a port above 65535, zero workers or a zero deadline) prints
+// the usage text and exits 2 before anything is bound.
 //
 // Binds 127.0.0.1:<port> (0 = ephemeral) and prints "listening <port>" on
 // stdout once ready — scripts scrape that line. Speaks the framed-JSON
@@ -21,10 +25,11 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <memory>
 #include <string>
+#include <string_view>
 
+#include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/server.h"
@@ -35,12 +40,20 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void HandleSignal(int) { g_stop = 1; }
 
-uint64_t FlagU64(const char* arg, const char* name, uint64_t fallback) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0) {
-    return std::strtoull(arg + len, nullptr, 10);
+// Prints the usage text, preceded by the rejected flag when there is one,
+// and returns the usage exit code.
+int Usage(std::string_view bad_flag = {}) {
+  if (!bad_flag.empty()) {
+    std::fprintf(stderr, "tupelo_serve: invalid flag '%.*s'\n",
+                 static_cast<int>(bad_flag.size()), bad_flag.data());
   }
-  return fallback;
+  std::fprintf(stderr,
+               "usage: tupelo_serve --journal-dir=DIR [--port=N] "
+               "[--workers=N] [--queue-limit=N] [--pool-threads=N] "
+               "[--fair-states=N] [--default-deadline-ms=N] "
+               "[--max-deadline-ms=N] [--checkpoint-interval=N] "
+               "[--checkpoint-keep=N] [--trace=PATH]\n");
+  return 2;
 }
 
 }  // namespace
@@ -49,54 +62,50 @@ int main(int argc, char** argv) {
   using namespace tupelo;
 
   serve::ServerConfig config;
-  config.jobs.journal_dir = "serve_journal";
+  serve::JobManagerConfig& jobs = config.jobs;
+  jobs.journal_dir = "serve_journal";
   std::string trace_path;
   for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--journal-dir=", 14) == 0) {
-      config.jobs.journal_dir = arg + 14;
-    } else if (std::strncmp(arg, "--trace=", 8) == 0) {
-      trace_path = arg + 8;
-    } else if (std::strcmp(arg, "--help") == 0) {
-      std::fprintf(stderr,
-                   "usage: tupelo_serve --journal-dir=DIR [--port=N] "
-                   "[--workers=N] [--queue-limit=N] [--pool-threads=N] "
-                   "[--fair-states=N] [--default-deadline-ms=N] "
-                   "[--max-deadline-ms=N] [--checkpoint-interval=N] "
-                   "[--checkpoint-keep=N] [--retries=N] [--trace=PATH]\n");
-      return 2;
+    const std::string_view arg = argv[i];
+    bool ok = true;
+    if (arg.starts_with("--journal-dir=")) {
+      jobs.journal_dir = arg.substr(14);
+    } else if (arg.starts_with("--trace=")) {
+      trace_path = arg.substr(8);
+    } else if (arg == "--help") {
+      return Usage();
+    } else if (arg.starts_with("--port=")) {
+      ok = ParseFlag(arg, "--port=", &config.port);
+    } else if (arg.starts_with("--workers=")) {
+      ok = ParseFlag(arg, "--workers=", &jobs.workers, 1);
+    } else if (arg.starts_with("--queue-limit=")) {
+      ok = ParseFlag(arg, "--queue-limit=", &jobs.queue_limit);
+    } else if (arg.starts_with("--pool-threads=")) {
+      ok = ParseFlag(arg, "--pool-threads=", &jobs.pool_threads);
+    } else if (arg.starts_with("--fair-states=")) {
+      ok = ParseFlag(arg, "--fair-states=", &jobs.fair_states_per_job);
+    } else if (arg.starts_with("--default-deadline-ms=")) {
+      ok = ParseFlag(arg, "--default-deadline-ms=",
+                     &jobs.default_deadline_millis, 1);
+    } else if (arg.starts_with("--max-deadline-ms=")) {
+      ok = ParseFlag(arg, "--max-deadline-ms=", &jobs.max_deadline_millis, 1);
+    } else if (arg.starts_with("--checkpoint-interval=")) {
+      ok = ParseFlag(arg, "--checkpoint-interval=",
+                     &jobs.checkpoint_interval_states);
+    } else if (arg.starts_with("--checkpoint-keep=")) {
+      ok = ParseFlag(arg, "--checkpoint-keep=", &jobs.checkpoint_keep);
     } else {
-      config.port = static_cast<uint16_t>(
-          FlagU64(arg, "--port=", config.port));
-      config.jobs.workers =
-          static_cast<size_t>(FlagU64(arg, "--workers=", config.jobs.workers));
-      config.jobs.queue_limit = static_cast<size_t>(
-          FlagU64(arg, "--queue-limit=", config.jobs.queue_limit));
-      config.jobs.pool_threads = static_cast<size_t>(
-          FlagU64(arg, "--pool-threads=", config.jobs.pool_threads));
-      config.jobs.fair_states_per_job =
-          FlagU64(arg, "--fair-states=", config.jobs.fair_states_per_job);
-      config.jobs.default_deadline_millis = static_cast<int64_t>(FlagU64(
-          arg, "--default-deadline-ms=",
-          static_cast<uint64_t>(config.jobs.default_deadline_millis)));
-      config.jobs.max_deadline_millis = static_cast<int64_t>(
-          FlagU64(arg, "--max-deadline-ms=",
-                  static_cast<uint64_t>(config.jobs.max_deadline_millis)));
-      config.jobs.checkpoint_interval_states = FlagU64(
-          arg, "--checkpoint-interval=", config.jobs.checkpoint_interval_states);
-      config.jobs.checkpoint_keep = static_cast<size_t>(
-          FlagU64(arg, "--checkpoint-keep=", config.jobs.checkpoint_keep));
-      config.jobs.max_job_retries = static_cast<int>(FlagU64(
-          arg, "--retries=", static_cast<uint64_t>(config.jobs.max_job_retries)));
+      ok = false;
     }
+    if (!ok) return Usage(arg);
   }
 
   obs::MetricRegistry metrics;
-  config.jobs.metrics = &metrics;
+  jobs.metrics = &metrics;
   std::unique_ptr<obs::TraceSession> trace;
   if (!trace_path.empty()) {
     trace = std::make_unique<obs::TraceSession>();
-    config.jobs.trace = trace.get();
+    jobs.trace = trace.get();
   }
 
   serve::Server server(std::move(config));
