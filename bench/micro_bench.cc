@@ -187,6 +187,7 @@ void BM_HeuristicEval(benchmark::State& state) {
 BENCHMARK(BM_HeuristicEval)
     ->Arg(static_cast<int>(HeuristicKind::kH1))
     ->Arg(static_cast<int>(HeuristicKind::kH2))
+    ->Arg(static_cast<int>(HeuristicKind::kH3))
     ->Arg(static_cast<int>(HeuristicKind::kLevenshtein))
     ->Arg(static_cast<int>(HeuristicKind::kEuclidean))
     ->Arg(static_cast<int>(HeuristicKind::kCosine));
@@ -486,6 +487,23 @@ int RunJsonSuite(int argc, char** argv) {
       benchmark::DoNotOptimize(cached.Expand(pair.source));
     });
 
+    // Cold set-based estimates: Estimate called directly (no estimate
+    // cache) on each fresh successor of the source, per evaluation.
+    std::vector<MappingProblem::SuccessorT> eval_succ =
+        uncached.Expand(pair.source);
+    auto eval_ns = [&](HeuristicKind kind) {
+      std::unique_ptr<Heuristic> h =
+          MakeHeuristic(kind, pair.target, SearchAlgorithm::kRbfs);
+      return NanosPer(expand_iters, [&] {
+               for (const auto& succ : eval_succ) {
+                 benchmark::DoNotOptimize(h->Estimate(succ.state));
+               }
+             }) /
+             static_cast<double>(eval_succ.size());
+    };
+    double h1_eval = eval_ns(HeuristicKind::kH1);
+    double h3_eval = eval_ns(HeuristicKind::kH3);
+
     // Tracing overhead on the same uncached-expand path, plus the raw
     // per-emit cost: compare expand_traced_ns to expand_uncached_ns.
     obs::TraceSession traced_session;
@@ -562,6 +580,8 @@ int RunJsonSuite(int argc, char** argv) {
       run["term_hash_ns"] = term_hash;
       run["term_merge_ns"] = term_merge;
       run["estimate_batch_ns"] = estimate_batch;
+      run["h1_eval_ns"] = h1_eval;
+      run["h3_eval_ns"] = h3_eval;
       run["metrics"] = registry.ToJson();
       trace.AnnotateRun(run);
       report.AddRun(std::move(run));

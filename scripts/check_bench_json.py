@@ -49,6 +49,8 @@ runs must carry "job_id" / "accepted" / "latency_millis" /
 "queue_millis", and its "summary" panel runs the throughput and
 overload aggregates (jobs_submitted/accepted/shed/completed/resumed,
 jobs_per_sec, p50/p99_millis, shed_rate, max_queue_depth, violations).
+Still at schema 10, micro runs also carry h1_eval_ns / h3_eval_ns (the
+cold per-evaluation cost of the set-based heuristics).
 Exits non-zero with a line per violation, so it works as a ctest
 command.
 """
@@ -118,6 +120,10 @@ MICRO_NS_FIELDS = (
     "term_hash_ns",
     "term_merge_ns",
     "estimate_batch_ns",
+    # Set-based heuristic cost: one cold h1 / h3 Estimate on a fresh
+    # successor (no estimate cache), averaged over the source's successors.
+    "h1_eval_ns",
+    "h3_eval_ns",
 )
 
 # Schema 3: counter namespaces for the copy-on-write state substrate and

@@ -33,7 +33,7 @@ MappingProblem::MappingProblem(
     SuccessorConfig config)
     : source_(std::move(source)),
       target_(std::move(target)),
-      target_symbols_(SymbolSets::FromDatabase(target_)),
+      target_index_(target_),
       heuristic_(std::move(heuristic)),
       registry_(registry),
       correspondences_(std::move(correspondences)),
@@ -159,25 +159,19 @@ void MappingProblem::TrimCaches() const {
 std::vector<Op> MappingProblem::CandidateOps(const Database& state) const {
   std::vector<Op> ops;
   const bool prune = config_.prune;
-  const SymbolSets& ts = target_symbols_;
-
-  // Attribute names of the whole current state, for rename pruning.
-  SymbolSets state_symbols = SymbolSets::FromDatabase(state);
+  const TargetSymbolIndex& ts = target_index_;
+  using Col = TargetSymbolIndex::Column;
+  const std::vector<std::string>& target_rels = ts.symbols(Col::kRel);
+  const std::vector<std::string>& target_atts = ts.symbols(Col::kAtt);
 
   // §2.3's example rule: "if the current search state has all attribute
   // names occurring in the target state, there is no need to explore
   // applications of the attribute renaming operator" — i.e. renames are
   // pruned as a class once nothing is missing, but an individual rename
   // may move even a target-named element (rename chains/swaps need this).
-  bool any_att_missing = false;
-  for (const std::string& att : ts.atts) {
-    if (!state_symbols.atts.contains(att)) {
-      any_att_missing = true;
-      break;
-    }
-  }
+  const bool any_att_missing = prune && !ts.HoldsAllAttributes(state);
   bool any_rel_missing = false;
-  for (const std::string& rel_name : ts.rels) {
+  for (const std::string& rel_name : target_rels) {
     if (!state.HasRelation(rel_name)) {
       any_rel_missing = true;
       break;
@@ -188,7 +182,7 @@ std::vector<Op> MappingProblem::CandidateOps(const Database& state) const {
     const Relation& rel = *relp;
     // ρrel: rename this relation to a missing target relation name.
     if (!prune || any_rel_missing) {
-      for (const std::string& to : ts.rels) {
+      for (const std::string& to : target_rels) {
         if (state.HasRelation(to)) continue;
         ops.push_back(RenameRelOp{rname, to});
       }
@@ -199,10 +193,10 @@ std::vector<Op> MappingProblem::CandidateOps(const Database& state) const {
     // data values — i.e. h2-style evidence that demotion is needed.
     if (!rel.HasAttribute(kDemoteAttrColumn) &&
         !rel.HasAttribute(kDemoteValueColumn)) {
-      bool wanted = !prune || ts.values.contains(rname);
+      bool wanted = !prune || ts.Contains(Col::kValue, rname);
       if (!wanted) {
         for (const std::string& attr : rel.attributes()) {
-          if (ts.values.contains(attr)) {
+          if (ts.Contains(Col::kValue, attr)) {
             wanted = true;
             break;
           }
@@ -215,7 +209,7 @@ std::vector<Op> MappingProblem::CandidateOps(const Database& state) const {
     // are available and its output is absent.
     for (const SemanticCorrespondence& c : correspondences_) {
       if (rel.HasAttribute(c.output)) continue;
-      if (prune && !ts.atts.contains(c.output)) continue;
+      if (prune && !ts.Contains(Col::kAtt, c.output)) continue;
       bool inputs_ok = true;
       for (const std::string& in : c.inputs) {
         if (!rel.HasAttribute(in)) {
@@ -243,14 +237,14 @@ std::vector<Op> MappingProblem::CandidateOps(const Database& state) const {
       // ρatt: rename into a missing target attribute. Pruned as a class
       // when no target attribute is missing anywhere in the state.
       if (!prune || any_att_missing) {
-        for (const std::string& to : ts.atts) {
+        for (const std::string& to : target_atts) {
           if (rel.HasAttribute(to)) continue;
           ops.push_back(RenameAttrOp{rname, attr, to});
         }
       }
 
       // π̄: drop a column the target does not mention.
-      if (rel.arity() > 1 && (!prune || !ts.atts.contains(attr))) {
+      if (rel.arity() > 1 && (!prune || !ts.Contains(Col::kAtt, attr))) {
         ops.push_back(DropOp{rname, attr});
       }
 
@@ -258,7 +252,7 @@ std::vector<Op> MappingProblem::CandidateOps(const Database& state) const {
       // relations.
       if (!prune ||
           AnyColumnValue(rel, i, [&](const std::string& v) {
-            return ts.rels.contains(v) && !state.HasRelation(v);
+            return ts.Contains(Col::kRel, v) && !state.HasRelation(v);
           })) {
         ops.push_back(PartitionOp{rname, attr});
       }
@@ -268,7 +262,7 @@ std::vector<Op> MappingProblem::CandidateOps(const Database& state) const {
       // value of this column is a missing target attribute name.
       bool promote_wanted =
           !prune || AnyColumnValue(rel, i, [&](const std::string& v) {
-            return ts.atts.contains(v) && !rel.HasAttribute(v);
+            return ts.Contains(Col::kAtt, v) && !rel.HasAttribute(v);
           });
       if (promote_wanted) {
         for (size_t j = 0; j < rel.arity(); ++j) {
@@ -286,7 +280,7 @@ std::vector<Op> MappingProblem::CandidateOps(const Database& state) const {
       if (pointer_ok) {
         // Allowed even when another relation already carries `out`; the
         // executor and the dedup filter discard the no-ops.
-        for (const std::string& out : ts.atts) {
+        for (const std::string& out : target_atts) {
           if (rel.HasAttribute(out)) continue;
           ops.push_back(DereferenceOp{rname, attr, out});
         }

@@ -227,7 +227,7 @@ class MappingProblem {
 
   Database source_;
   Database target_;
-  SymbolSets target_symbols_;
+  TargetSymbolIndex target_index_;
   std::unique_ptr<Heuristic> heuristic_;
   const FunctionRegistry* registry_;
   std::vector<SemanticCorrespondence> correspondences_;

@@ -47,14 +47,15 @@ Status Server::Start() {
 void Server::Shutdown() {
   if (stopped_.exchange(true, std::memory_order_relaxed)) return;
   RequestStop();
-  // Closing the listener kicks the accept loop's poll; connection loops
-  // notice stop_requested_ at their next read timeout.
+  // Shutting the listener down kicks the accept loop's poll; the fd is
+  // closed and reset only once that loop, its last reader, has joined.
+  // Connection loops notice stop_requested_ at their next read timeout.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     for (std::thread& t : connections_) {

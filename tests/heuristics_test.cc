@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <string>
-
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <random>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "heuristics/heuristic_factory.h"
 #include "heuristics/levenshtein.h"
@@ -151,12 +154,26 @@ TEST(DatabaseStringTest, IndependentOfTupleOrder) {
 // Symbol sets and h1/h2/h3
 // ---------------------------------------------------------------------------
 
-TEST(SymbolSetsTest, CollectsAllThreeCategories) {
-  Database db = Tdb("relation R (A, B) { (1, null) }\nrelation S (C) { }");
-  SymbolSets s = SymbolSets::FromDatabase(db);
-  EXPECT_EQ(s.rels, (std::set<std::string>{"R", "S"}));
-  EXPECT_EQ(s.atts, (std::set<std::string>{"A", "B", "C"}));
-  EXPECT_EQ(s.values, (std::set<std::string>{"1"}));  // nulls excluded
+TEST(TargetSymbolIndexTest, CollectsAllThreeCategoriesSorted) {
+  Database db = Tdb("relation S (C) { }\nrelation R (B, A) { (1, null) }");
+  TargetSymbolIndex index(db);
+  using Col = TargetSymbolIndex::Column;
+  EXPECT_EQ(index.symbols(Col::kRel), (std::vector<std::string>{"R", "S"}));
+  EXPECT_EQ(index.symbols(Col::kAtt),
+            (std::vector<std::string>{"A", "B", "C"}));
+  // Nulls excluded.
+  EXPECT_EQ(index.symbols(Col::kValue), (std::vector<std::string>{"1"}));
+  EXPECT_TRUE(index.Contains(Col::kAtt, "B"));
+  EXPECT_FALSE(index.Contains(Col::kRel, "B"));
+  EXPECT_FALSE(index.Contains(Col::kValue, "Q"));
+}
+
+TEST(TargetSymbolIndexTest, HoldsAllAttributesAcrossRelations) {
+  TargetSymbolIndex index(Tdb("relation T (X, Y) { }"));
+  EXPECT_TRUE(index.HoldsAllAttributes(
+      Tdb("relation A (X) { }\nrelation B (Q, Y) { }")));
+  EXPECT_FALSE(index.HoldsAllAttributes(Tdb("relation A (X, Z) { (Y, Y) }")));
+  EXPECT_TRUE(TargetSymbolIndex(Database()).HoldsAllAttributes(Database()));
 }
 
 TEST(SetBasedTest, H0IsAlwaysZero) {
@@ -173,6 +190,10 @@ TEST(SetBasedTest, H1CountsMissingSymbols) {
   Database state = Tdb("relation R (A) { (1) }");
   EXPECT_EQ(h1.Estimate(state), 1 + 2 + 1);
   EXPECT_EQ(h1.Estimate(target), 0);
+  // Nothing is misplaced, so h3 is h1.
+  H3Heuristic h3(target);
+  EXPECT_EQ(h3.Estimate(state), 1 + 2 + 1);
+  EXPECT_EQ(h3.Estimate(target), 0);
 }
 
 TEST(SetBasedTest, H1IgnoresExtraStateSymbols) {
@@ -180,6 +201,7 @@ TEST(SetBasedTest, H1IgnoresExtraStateSymbols) {
   H1Heuristic h1(target);
   Database state = Tdb("relation T (X, Z1, Z2) { (1, junk1, junk2) }");
   EXPECT_EQ(h1.Estimate(state), 0);
+  EXPECT_EQ(H3Heuristic(target).Estimate(state), 0);
 }
 
 TEST(SetBasedTest, H2CountsMisplacedSymbols) {
@@ -189,6 +211,8 @@ TEST(SetBasedTest, H2CountsMisplacedSymbols) {
   H2Heuristic h2(target);
   Database state = Tdb("relation T (Route) { (ATL29) (ORD17) }");
   EXPECT_EQ(h2.Estimate(state), 2);  // πATT(t) ∩ πVALUE(x)
+  // h1 = 2 attrs + 2 values missing, which dominates.
+  EXPECT_EQ(H3Heuristic(target).Estimate(state), 4);
 }
 
 TEST(SetBasedTest, H2SeesRelationNamesInValues) {
@@ -198,12 +222,16 @@ TEST(SetBasedTest, H2SeesRelationNamesInValues) {
   // πATT(t)={Route,BaseCost,TotalCost} ∩ πVALUE/REL(x) = 0;
   // πVALUE(t) ∩ πREL(x)=∅, ∩ πATT(x)=∅.
   EXPECT_EQ(h2.Estimate(MakeFlightsB()), 2);
+  H1Heuristic h1(MakeFlightsC());
+  EXPECT_EQ(H3Heuristic(MakeFlightsC()).Estimate(MakeFlightsB()),
+            std::max(2, h1.Estimate(MakeFlightsB())));
 }
 
 TEST(SetBasedTest, H2ZeroWhenNoCrossPlacement) {
   Database target = Tdb("relation T (X) { (1) }");
   H2Heuristic h2(target);
   EXPECT_EQ(h2.Estimate(target), 0);
+  EXPECT_EQ(H3Heuristic(target).Estimate(target), 0);
 }
 
 TEST(SetBasedTest, H3IsMax) {
@@ -218,6 +246,183 @@ TEST(SetBasedTest, H3IsMax) {
   Database empty_state = Tdb("relation Z (Q) { }");
   EXPECT_EQ(h3.Estimate(empty_state),
             std::max(h1.Estimate(empty_state), h2.Estimate(empty_state)));
+}
+
+// Differential check of the index-based h1/h2/h3 against the paper's set
+// formulas, kept here (and only here) as the oracle: seeded random
+// databases over a shared symbol pool, so one symbol lands in several
+// relations and in several TNF columns at once, with nulls.
+
+struct OracleSymbols {
+  std::set<std::string> rels;
+  std::set<std::string> atts;
+  std::set<std::string> values;
+};
+
+OracleSymbols OracleSymbolsOf(const Database& db) {
+  OracleSymbols out;
+  for (const auto& [rname, relp] : db.relations()) {
+    out.rels.insert(rname);
+    for (const std::string& attr : relp->attributes()) out.atts.insert(attr);
+    for (const Tuple& t : relp->tuples()) {
+      for (const Value& v : t.values()) {
+        if (!v.is_null()) out.values.insert(v.atom());
+      }
+    }
+  }
+  return out;
+}
+
+int OracleDifference(const std::set<std::string>& a,
+                     const std::set<std::string>& b) {
+  int n = 0;
+  for (const std::string& s : a) n += b.contains(s) ? 0 : 1;
+  return n;
+}
+
+int OracleIntersection(const std::set<std::string>& a,
+                       const std::set<std::string>& b) {
+  int n = 0;
+  for (const std::string& s : a) n += b.contains(s) ? 1 : 0;
+  return n;
+}
+
+int OracleH1(const OracleSymbols& t, const OracleSymbols& x) {
+  return OracleDifference(t.rels, x.rels) + OracleDifference(t.atts, x.atts) +
+         OracleDifference(t.values, x.values);
+}
+
+int OracleH2(const OracleSymbols& t, const OracleSymbols& x) {
+  return OracleIntersection(t.rels, x.atts) +
+         OracleIntersection(t.rels, x.values) +
+         OracleIntersection(t.atts, x.rels) +
+         OracleIntersection(t.atts, x.values) +
+         OracleIntersection(t.values, x.rels) +
+         OracleIntersection(t.values, x.atts);
+}
+
+struct RandomDbShape {
+  size_t pool = 12;        // symbols s0..s{pool-1}
+  size_t max_rels = 3;
+  size_t max_arity = 4;
+  size_t max_tuples = 3;
+  double null_rate = 0.2;
+};
+
+// Relation names, attributes (distinct within a relation) and values are
+// all drawn from one pool, so the same symbol recurs across relations and
+// columns.
+Database RandomDb(std::mt19937_64& rng, const RandomDbShape& shape) {
+  auto pick = [&](size_t n) {
+    return std::uniform_int_distribution<size_t>(0, n - 1)(rng);
+  };
+  auto symbol = [&] { return "s" + std::to_string(pick(shape.pool)); };
+  std::bernoulli_distribution is_null(shape.null_rate);
+  Database db;
+  const size_t rels = pick(shape.max_rels + 1);
+  for (size_t r = 0; r < rels; ++r) {
+    std::vector<std::string> attrs;
+    const size_t arity = 1 + pick(std::min(shape.max_arity, shape.pool));
+    while (attrs.size() < arity) {
+      std::string a = symbol();
+      if (std::find(attrs.begin(), attrs.end(), a) == attrs.end()) {
+        attrs.push_back(std::move(a));
+      }
+    }
+    Relation rel = Relation::Create(symbol(), std::move(attrs)).value();
+    const size_t tuples = pick(shape.max_tuples + 1);
+    for (size_t k = 0; k < tuples; ++k) {
+      std::vector<Value> values;
+      for (size_t i = 0; i < rel.arity(); ++i) {
+        values.push_back(is_null(rng) ? Value::Null() : Value(symbol()));
+      }
+      EXPECT_TRUE(rel.AddTuple(Tuple(std::move(values))).ok());
+    }
+    db.PutRelation(std::move(rel));  // a repeated name replaces: fine
+  }
+  return db;
+}
+
+// Checks every index answer for `target` against the oracle on `state`.
+void ExpectMatchesOracle(const Database& target, const Database& state) {
+  const OracleSymbols t = OracleSymbolsOf(target);
+  const OracleSymbols x = OracleSymbolsOf(state);
+  const int h1 = OracleH1(t, x);
+  const int h2 = OracleH2(t, x);
+  EXPECT_EQ(H1Heuristic(target).Estimate(state), h1);
+  EXPECT_EQ(H2Heuristic(target).Estimate(state), h2);
+  EXPECT_EQ(H3Heuristic(target).Estimate(state), std::max(h1, h2));
+
+  TargetSymbolIndex index(target);
+  bool all_atts = true;
+  for (const std::string& a : t.atts) all_atts = all_atts && x.atts.contains(a);
+  EXPECT_EQ(index.HoldsAllAttributes(state), all_atts);
+  using Col = TargetSymbolIndex::Column;
+  EXPECT_EQ(index.symbols(Col::kRel),
+            std::vector<std::string>(t.rels.begin(), t.rels.end()));
+  EXPECT_EQ(index.symbols(Col::kAtt),
+            std::vector<std::string>(t.atts.begin(), t.atts.end()));
+  EXPECT_EQ(index.symbols(Col::kValue),
+            std::vector<std::string>(t.values.begin(), t.values.end()));
+  for (const std::string& s : x.values) {
+    EXPECT_EQ(index.Contains(Col::kRel, s), t.rels.contains(s)) << s;
+    EXPECT_EQ(index.Contains(Col::kAtt, s), t.atts.contains(s)) << s;
+    EXPECT_EQ(index.Contains(Col::kValue, s), t.values.contains(s)) << s;
+  }
+}
+
+TEST(SetBasedDifferentialTest, MatchesSetFormulasOnRandomDatabases) {
+  const RandomDbShape small;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    std::mt19937_64 rng(seed);
+    const Database target = RandomDb(rng, small);
+    for (int k = 0; k < 10; ++k) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " state " << k);
+      ExpectMatchesOracle(target, RandomDb(rng, small));
+    }
+    ExpectMatchesOracle(target, target);
+    ExpectMatchesOracle(target, Database());
+  }
+}
+
+TEST(SetBasedDifferentialTest, WideTargetsCrossWordBoundaries) {
+  // Pools of 150–200 symbols and arities up to 90: target columns of more
+  // than 64 symbols, so the per-cell bitsets span several words.
+  RandomDbShape wide;
+  wide.pool = 200;
+  wide.max_rels = 3;
+  wide.max_arity = 90;
+  wide.max_tuples = 3;
+  size_t widest_column = 0;
+  for (uint64_t seed = 100; seed < 120; ++seed) {
+    std::mt19937_64 rng(seed);
+    const Database target = RandomDb(rng, wide);
+    const OracleSymbols t = OracleSymbolsOf(target);
+    widest_column = std::max({widest_column, t.rels.size(), t.atts.size(),
+                              t.values.size()});
+    for (int k = 0; k < 5; ++k) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " state " << k);
+      ExpectMatchesOracle(target, RandomDb(rng, wide));
+    }
+    ExpectMatchesOracle(target, target);
+  }
+  EXPECT_GT(widest_column, 128u);
+}
+
+TEST(SetBasedDifferentialTest, SymbolInEveryColumnAndEmptyTarget) {
+  // "X" is a relation name, an attribute and a value of the target and of
+  // the state at once.
+  Database target = Tdb("relation X (X, A) { (X, null) (B, X) }");
+  for (const char* state :
+       {"relation X (X) { (X) }", "relation R (A) { (X) }",
+        "relation X (B) { (null) }\nrelation A (X, B) { (A, X) }",
+        "relation B (A) { }"}) {
+    SCOPED_TRACE(state);
+    ExpectMatchesOracle(target, Tdb(state));
+    ExpectMatchesOracle(Database(), Tdb(state));  // empty target
+  }
+  ExpectMatchesOracle(Database(), Database());
+  EXPECT_EQ(H3Heuristic(Database()).Estimate(target), 0);
 }
 
 // ---------------------------------------------------------------------------
