@@ -149,9 +149,8 @@ class BenchTrace {
 // BenchTrace::AnnotateRun), and run metrics may carry the trace.*
 // counters (trace.events_recorded/events_dropped).
 //
-// Schema 7 additions: run metrics may carry the supervision instruments
-// and micro_bench runs the heartbeat_tick_ns/expand_supervised_ns
-// timings.
+// Schema 7 additions: the supervision instruments and timings, since
+// removed along with the watchdog supervisor.
 //
 // Schema 8 additions: a root "simd_dispatch" field (the runtime kernel
 // tier the harness ran with — "scalar", "sse42", or "avx2"; see

@@ -26,7 +26,7 @@
 //    4  wall-clock deadline tripped
 //    5  memory bound tripped
 //    6  cancelled (SIGINT/SIGTERM, after a clean drain)
-//    7  stalled (watchdog preempted a hung rung, retries spent)
+//    7  unused (kept free so the other codes stay stable)
 //    8  state budget tripped
 //    9  depth bound tripped
 //   10  mapping found but failed replay verification
@@ -75,8 +75,6 @@ int ExitCodeFor(const tupelo::TupeloResult& result) {
       return 5;
     case tupelo::StopReason::kCancelled:
       return 6;
-    case tupelo::StopReason::kStalled:
-      return 7;
     case tupelo::StopReason::kStates:
       return 8;
     case tupelo::StopReason::kDepth:
@@ -112,15 +110,6 @@ int Usage(std::string_view bad_flag = {}) {
          "progress (atomic, checksummed)\n"
          "  [--resume]                with --checkpoint: restart from the "
          "snapshot's rung + frontier\n"
-         "  [--supervise]             self-healing watchdog: preempt hung "
-         "rungs, quarantine poison\n"
-         "                            states\n"
-         "  [--stall-window-ms=N]     with --supervise: silence window "
-         "before preemption (default 500)\n"
-         "  [--supervisor-tick-ms=N]  with --supervise: watchdog sampling "
-         "period (default 20)\n"
-         "  [--rung-retries=N]        with --supervise: retries per "
-         "stalled rung (default 1)\n"
          "  [--apply]                 execute the mapping and print the "
          "result\n"
          "  [--compiled]              with --apply: execute the mapping "
@@ -139,7 +128,7 @@ int Usage(std::string_view bad_flag = {}) {
          "or: tupelo_cli --validate <mapping.tmap>   re-validate a stored "
          "mapping\n"
          "exit codes: 0 found+verified, 1 error, 2 usage, 3 exhausted,\n"
-         "  4 deadline, 5 memory, 6 cancelled (SIGINT/SIGTERM), 7 stalled,\n"
+         "  4 deadline, 5 memory, 6 cancelled (SIGINT/SIGTERM),\n"
          "  8 state budget, 9 depth bound, 10 found but unverified\n";
   return 2;
 }
@@ -213,26 +202,6 @@ int main(int argc, char** argv) {
       options.checkpoint_path = value_of("--checkpoint=");
     } else if (arg == "--resume") {
       options.resume = true;
-    } else if (arg == "--supervise") {
-      options.supervisor.enabled = true;
-    } else if (arg.starts_with("--stall-window-ms=")) {
-      options.supervisor.enabled = true;
-      if (!ParseFlag(arg, "--stall-window-ms=",
-                     &options.supervisor.stall_window_millis)) {
-        return Usage(arg);
-      }
-    } else if (arg.starts_with("--supervisor-tick-ms=")) {
-      options.supervisor.enabled = true;
-      if (!ParseFlag(arg, "--supervisor-tick-ms=",
-                     &options.supervisor.tick_millis)) {
-        return Usage(arg);
-      }
-    } else if (arg.starts_with("--rung-retries=")) {
-      options.supervisor.enabled = true;
-      if (!ParseFlag(arg, "--rung-retries=",
-                     &options.supervisor.max_rung_retries)) {
-        return Usage(arg);
-      }
     } else if (arg == "--no-prune") {
       options.successors.prune = false;
     } else if (arg == "--compiled") {
@@ -346,14 +315,6 @@ int main(int argc, char** argv) {
   if (!result.ok()) {
     std::cerr << "error: " << result.status() << "\n";
     return 1;
-  }
-  if (options.supervisor.enabled &&
-      (result->stall_preemptions > 0 || result->rung_retries > 0 ||
-       result->states_quarantined > 0)) {
-    std::cerr << "# supervisor: " << result->stall_preemptions
-              << " stall preemption(s), " << result->rung_retries
-              << " retry(ies), " << result->states_quarantined
-              << " state(s) quarantined\n";
   }
   if (!result->found) {
     std::cerr << "no mapping found (stop reason: "

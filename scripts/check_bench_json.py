@@ -3,7 +3,7 @@
 
 Usage: check_bench_json.py REPORT.json [REPORT2.json ...]
 
-Checks the schema documented in docs/OBSERVABILITY.md (schema_version 9):
+Checks the schema documented in docs/OBSERVABILITY.md (schema_version 10):
 required top-level fields with the right types, a non-empty panels list,
 and per-run presence of the standard measurement fields — including the
 resource-governance fields (stop_reason, verified, verify_error,
@@ -24,13 +24,10 @@ written by --trace= runs ("trace_path" string, "trace_events" /
 "trace_dropped" non-negative ints — the events this run added to its
 trace session and how many fell off the ring) and the trace.* counters
 (trace.events_recorded/events_dropped — validated like the substrate
-counters). Schema_version 7 adds the self-healing runtime: the
-"stalled" stop reason (a watchdog-preempted hung rung), the
-supervisor.* counters, the optional per-run supervision fields
-("stall_preemptions", "memory_reliefs", "rung_retries",
-"states_quarantined" — non-negative ints wherever present), and the
-micro_bench heartbeat_tick_ns / expand_supervised_ns timings.
-Schema_version 8 adds the SIMD kernel layer: a root "simd_dispatch"
+counters). Schema_version 7 added the self-healing supervisor's
+"stalled" stop reason, counters, per-run fields and micro timings; the
+supervisor has since been removed, so its fields are no longer checked
+and a "stalled" stop reason is rejected as unknown. Schema_version 8 adds the SIMD kernel layer: a root "simd_dispatch"
 field (the runtime kernel tier — "scalar", "sse42", or "avx2"), the
 micro_bench kernel timings (edit_short_ns, edit_long_ns, term_hash_ns,
 term_merge_ns, estimate_batch_ns), and the TNF-encoding counters
@@ -62,7 +59,7 @@ SCHEMA_VERSION = 10
 
 STOP_REASONS = {
     "found", "exhausted", "states", "depth", "memory", "deadline",
-    "cancelled", "stalled", "error",
+    "cancelled", "error",
 }
 
 REQUIRED_TOP = {
@@ -109,10 +106,6 @@ MICRO_NS_FIELDS = (
     "expand_cached_ns",
     "expand_traced_ns",
     "trace_emit_ns",
-    # Schema 7: supervision-substrate timings (a heartbeat stamp, and
-    # Expand through the poison-state quarantine wrapper).
-    "heartbeat_tick_ns",
-    "expand_supervised_ns",
     # Schema 8: SIMD kernel timings (dispatched edit distance short/long,
     # bulk term-key hashing, term-vector merge, batched estimation).
     "edit_short_ns",
@@ -132,7 +125,7 @@ MICRO_NS_FIELDS = (
 # metrics.
 SUBSTRATE_COUNTER_PREFIXES = ("state.cow", "state.relations", "state.tnf",
                               "expand.cache", "beam.parallel", "runtime.",
-                              "checkpoint.", "trace.", "supervisor.",
+                              "checkpoint.", "trace.",
                               "heuristic.levenshtein.tnf",
                               "executor.fused", "serve.")
 
@@ -181,15 +174,6 @@ TRACE_RUN_FIELDS = {
     "trace_dropped": int,
 }
 
-# Schema 7: optional per-run supervision fields, present when the harness
-# ran with the self-healing supervisor enabled. Non-negative ints
-# wherever they appear.
-SUPERVISOR_RUN_FIELDS = (
-    "stall_preemptions",
-    "memory_reliefs",
-    "rung_retries",
-    "states_quarantined",
-)
 
 
 def check(path):
@@ -286,15 +270,6 @@ def check(path):
                         err("%s has negative %s" % (where, key))
                     elif want is str and not value:
                         err("%s has empty %s" % (where, key))
-                for key in SUPERVISOR_RUN_FIELDS:
-                    if key not in run:
-                        continue
-                    value = run[key]
-                    if not isinstance(value, int) or isinstance(value, bool):
-                        err("%s field %r has type %s"
-                            % (where, key, type(value).__name__))
-                    elif value < 0:
-                        err("%s has negative %s" % (where, key))
                 executor = run.get("executor")
                 if executor is not None and executor not in EXECUTOR_KINDS:
                     err("%s has unknown executor %r, want one of %s"

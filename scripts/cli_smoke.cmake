@@ -1,8 +1,10 @@
 # Exit-code smoke test for tupelo_cli: every numeric flag is parsed by one
 # checked helper, so a malformed, negative or out-of-range value is a
 # usage error (exit 2, usage text on stderr) rather than an uncaught
-# exception (SIGABRT) or a silent wrap to a huge budget. A small rename
-# pair then has to run to a verified mapping (exit 0).
+# exception (SIGABRT) or a silent wrap to a huge budget. The flags of
+# the removed watchdog supervisor are unknown flags now and get the same
+# usage exit. A small rename pair then has to run to a verified mapping
+# (exit 0).
 #
 # Expected -D variables:
 #   CLI      - path to the tupelo_cli binary
@@ -45,4 +47,6 @@ endfunction()
 expect_exit(2 "--threads=abc")
 expect_exit(2 "--max-states=-5")
 expect_exit(2 "--beam-width=0")
+expect_exit(2 "--supervise")
+expect_exit(2 "--rung-retries=1")
 expect_exit(0 "--max-states=1000")

@@ -51,10 +51,6 @@ void ThreadPool::WorkerLoop() {
       task_exceptions_.fetch_add(1, std::memory_order_relaxed);
     }
     if (hook != nullptr) hook->OnTaskEnd();
-    if (std::atomic<uint64_t>* beats =
-            task_heartbeat_.load(std::memory_order_acquire)) {
-      beats->fetch_add(1, std::memory_order_relaxed);
-    }
   }
 }
 

@@ -42,7 +42,8 @@ class TaskTraceHook {
 // anything a task throws — a poison task must not take the worker (and
 // the process) down — counts it in task_exceptions(), and keeps serving
 // the queue. The task's own work is lost; orderly failure handling
-// belongs at the task boundary (see GuardedExpand in search_types.h).
+// belongs at the task boundary (see the Phase A task in
+// search/parallel_beam.h).
 class ThreadPool {
  public:
   // Spawns `num_threads` workers (at least 1).
@@ -65,15 +66,6 @@ class ThreadPool {
     trace_hook_.store(hook, std::memory_order_release);
   }
 
-  // Installs (or clears) a liveness counter bumped once per completed
-  // task — the thread-pool leg of the supervisor heartbeat (the search
-  // leg stamps from BudgetGuard poll points). Same lifetime rules as the
-  // trace hook: install while quiescent, the counter must outlive the
-  // tasks it observes.
-  void set_task_heartbeat(std::atomic<uint64_t>* beats) {
-    task_heartbeat_.store(beats, std::memory_order_release);
-  }
-
   // Tasks that threw and were absorbed by the worker-loop backstop.
   uint64_t task_exceptions() const {
     return task_exceptions_.load(std::memory_order_relaxed);
@@ -87,7 +79,6 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_;
   bool shutdown_ = false;
   std::atomic<TaskTraceHook*> trace_hook_{nullptr};
-  std::atomic<std::atomic<uint64_t>*> task_heartbeat_{nullptr};
   std::atomic<uint64_t> task_exceptions_{0};
   std::vector<std::thread> workers_;
 };

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -25,25 +24,6 @@ using Clock = std::chrono::steady_clock;
 double MillisSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
-}
-
-// Replays a mapping on the source instance without letting an exception
-// escape Discover: operator execution can throw under fault injection
-// (fira/executor.h, Kind::kThrow/kBadAlloc), and verification runs
-// outside the search layer's poison-state quarantine, so a throwing
-// replay must degrade to a failed verification, not a crash.
-Result<Database> SafeReplay(const MappingExpression& mapping,
-                            const Database& source,
-                            const FunctionRegistry* registry) {
-  try {
-    return mapping.Apply(source, registry);
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("verification replay threw: ") +
-                            e.what());
-  } catch (...) {
-    return Status::Internal("verification replay threw a non-standard "
-                            "exception");
-  }
 }
 
 // Splits `remaining` by `share` for a non-final rung; the last rung takes
@@ -420,20 +400,6 @@ Result<TupeloResult> Tupelo::Discover(const TupeloOptions& options) const {
         &options.on_progress);
   }
 
-  // Self-healing supervision. The heartbeat slot is declared before the
-  // pool so it outlives the workers that stamp it — a worker bumps
-  // `beats` after finishing a task, which can land just after the
-  // search's own barrier has released.
-  const bool supervised = options.supervisor.enabled;
-  HeartbeatSlot heartbeat;
-  std::unique_ptr<StateQuarantine> quarantine;
-  std::unique_ptr<runtime::Supervisor> supervisor;
-  if (supervised) {
-    quarantine = std::make_unique<StateQuarantine>(1024);
-    supervisor = std::make_unique<runtime::Supervisor>(options.supervisor,
-                                                       metrics, trace);
-  }
-
   // The parallel runtime: one pool per Discover call, joined before
   // return. Beam rungs fan their levels out over it. The task tracer is
   // declared before the pool so it outlives the workers that call it.
@@ -443,15 +409,13 @@ Result<TupeloResult> Tupelo::Discover(const TupeloOptions& options) const {
   ThreadPool* pool = options.pool;
   if (pool != nullptr) {
     // Shared pool: beam rungs fan out over the caller's pool. Its trace
-    // hook and task heartbeat belong to the owner — a per-call install
-    // would race with sibling Discover calls sharing the same pool — so
-    // supervised stall detection relies on the search thread's beats.
+    // hook belongs to the owner — a per-call install would race with
+    // sibling Discover calls sharing the same pool.
     threads = std::max<size_t>(1, pool->size());
   } else if (threads > 1) {
     owned_pool = std::make_unique<ThreadPool>(threads);
     pool = owned_pool.get();
     if (trace != nullptr) pool->set_trace_hook(&pool_task_tracer);
-    if (supervised) pool->set_task_heartbeat(&heartbeat.beats);
   }
   if (metrics != nullptr) {
     metrics->GetGauge("runtime.threads").Set(static_cast<int64_t>(threads));
@@ -500,113 +464,48 @@ Result<TupeloResult> Tupelo::Discover(const TupeloOptions& options) const {
       rung_limits.cancel = kill_token.get();
     }
 
-    // Genuine cancellation for this rung comes from the kill seam (when
-    // checkpointing) or the caller's token; the supervisor's preempt
-    // token is parented on it so a caller cancel still lands instantly.
-    CancelToken* const ladder_cancel =
-        sink != nullptr ? kill_token.get() : options.limits.cancel;
+    Clock::time_point rung_start = Clock::now();
+    SearchOutcome<Op> outcome =
+        RunRung(ladder[i].algorithm, problem, options.beam_width, pool,
+                rung_limits, metrics, resumed_rung ? &resume_seed : nullptr,
+                trace);
+    double rung_millis = MillisSince(rung_start);
 
-    // A stall-preempted rung is retried in place with exponential backoff
-    // (transient faults — a slow disk, an injected delay — clear on their
-    // own); anything else runs the attempt loop exactly once.
-    SearchOutcome<Op> outcome;
-    int64_t backoff_millis =
-        std::max<int64_t>(1, options.supervisor.retry_backoff_millis);
-    for (int attempt = 0;; ++attempt) {
-      SearchLimits attempt_limits = rung_limits;
-      CancelToken rung_token(ladder_cancel);
-      int64_t watch_id = -1;
-      if (supervised) {
-        attempt_limits.cancel = &rung_token;
-        attempt_limits.heartbeat = &heartbeat;
-        attempt_limits.quarantine = quarantine.get();
-        runtime::WatchSpec spec;
-        spec.heartbeat = &heartbeat;
-        spec.preempt = &rung_token;
-        spec.label = SearchAlgorithmName(ladder[i].algorithm).data();
-        watch_id = supervisor->Watch(spec);
+    result.rungs.push_back(RungAttempt{ladder[i].algorithm, outcome.stop,
+                                       outcome.stats.states_examined,
+                                       rung_millis});
+    if (metrics != nullptr) {
+      metrics->GetCounter("governor.rungs_attempted").Increment();
+      metrics
+          ->GetCounter(std::string("governor.rung.") +
+                       std::string(SearchAlgorithmName(ladder[i].algorithm)) +
+                       ".nanos")
+          .Increment(static_cast<uint64_t>(rung_millis * 1e6));
+      switch (outcome.stop) {
+        case StopReason::kDeadline:
+          metrics->GetCounter("governor.deadline_trips").Increment();
+          break;
+        case StopReason::kCancelled:
+          metrics->GetCounter("governor.cancellations").Increment();
+          break;
+        case StopReason::kMemory:
+          metrics->GetCounter("governor.memory_trips").Increment();
+          break;
+        default:
+          break;
       }
+    }
 
-      Clock::time_point rung_start = Clock::now();
-      outcome =
-          RunRung(ladder[i].algorithm, problem, options.beam_width,
-                  pool, attempt_limits, metrics,
-                  resumed_rung ? &resume_seed : nullptr, trace);
-      double rung_millis = MillisSince(rung_start);
-
-      bool stalled = false;
-      if (watch_id >= 0) {
-        stalled = supervisor->stalled(watch_id);
-        supervisor->Unwatch(watch_id);
-      }
-      // The rung observed its preempt token as a plain cancel; rewrite
-      // the stop to the stall the supervisor diagnosed. A genuine
-      // caller/kill cancel wins over any concurrent preemption.
-      if (stalled && outcome.stop == StopReason::kCancelled &&
-          !(ladder_cancel != nullptr && ladder_cancel->cancelled())) {
-        outcome.stop = StopReason::kStalled;
-      }
-
-      result.rungs.push_back(RungAttempt{ladder[i].algorithm, outcome.stop,
-                                         outcome.stats.states_examined,
-                                         rung_millis});
-      if (metrics != nullptr) {
-        metrics->GetCounter("governor.rungs_attempted").Increment();
-        metrics
-            ->GetCounter(
-                std::string("governor.rung.") +
-                std::string(SearchAlgorithmName(ladder[i].algorithm)) +
-                ".nanos")
-            .Increment(static_cast<uint64_t>(rung_millis * 1e6));
-        switch (outcome.stop) {
-          case StopReason::kDeadline:
-            metrics->GetCounter("governor.deadline_trips").Increment();
-            break;
-          case StopReason::kCancelled:
-            metrics->GetCounter("governor.cancellations").Increment();
-            break;
-          case StopReason::kMemory:
-            metrics->GetCounter("governor.memory_trips").Increment();
-            break;
-          case StopReason::kStalled:
-            metrics->GetCounter("governor.stall_trips").Increment();
-            break;
-          default:
-            break;
-        }
-      }
-
-      result.stats.states_examined += outcome.stats.states_examined;
-      result.stats.states_generated += outcome.stats.states_generated;
-      result.stats.iterations += outcome.stats.iterations;
-      result.stats.peak_memory_nodes = std::max(
-          result.stats.peak_memory_nodes, outcome.stats.peak_memory_nodes);
-      states_left -= std::min(states_left, outcome.stats.states_examined);
-      if (outcome.best_h >= 0 &&
-          (best_partial_h < 0 || outcome.best_h < best_partial_h)) {
-        best_partial_h = outcome.best_h;
-        best_partial = outcome.best_path;
-      }
-
-      if (supervised && outcome.stop == StopReason::kStalled &&
-          attempt < options.supervisor.max_rung_retries &&
-          !(ladder_cancel != nullptr && ladder_cancel->cancelled())) {
-        ++result.rung_retries;
-        if (metrics != nullptr) {
-          metrics->GetCounter("supervisor.rung_retries").Increment();
-        }
-        if (trace != nullptr) {
-          trace->EmitInstant(obs::TraceCategory::kFault,
-                             "supervisor.rung_retry", "rung",
-                             static_cast<int64_t>(i), "attempt",
-                             static_cast<int64_t>(attempt + 1));
-        }
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(backoff_millis));
-        backoff_millis *= 2;
-        continue;
-      }
-      break;
+    result.stats.states_examined += outcome.stats.states_examined;
+    result.stats.states_generated += outcome.stats.states_generated;
+    result.stats.iterations += outcome.stats.iterations;
+    result.stats.peak_memory_nodes = std::max(
+        result.stats.peak_memory_nodes, outcome.stats.peak_memory_nodes);
+    states_left -= std::min(states_left, outcome.stats.states_examined);
+    if (outcome.best_h >= 0 &&
+        (best_partial_h < 0 || outcome.best_h < best_partial_h)) {
+      best_partial_h = outcome.best_h;
+      best_partial = outcome.best_path;
     }
     result.stop_reason = outcome.stop;
 
@@ -630,15 +529,6 @@ Result<TupeloResult> Tupelo::Discover(const TupeloOptions& options) const {
   result.report.search_millis = MillisSince(search_start);
   if (sink != nullptr) result.checkpoint_writes = sink->writes();
 
-  if (supervised) {
-    result.stall_preemptions = supervisor->stall_preemptions();
-    result.states_quarantined = quarantine->poisoned();
-    if (metrics != nullptr && result.states_quarantined > 0) {
-      metrics->GetCounter("supervisor.states_quarantined")
-          .Increment(result.states_quarantined);
-    }
-  }
-
   result.budget_exhausted = IsResourceStop(result.stop_reason);
   result.partial_mapping = MappingExpression(std::move(best_partial));
   result.partial_h = best_partial_h;
@@ -654,7 +544,7 @@ Result<TupeloResult> Tupelo::Discover(const TupeloOptions& options) const {
     }
     Clock::time_point verify_start = Clock::now();
     obs::TraceSpan verify_span(trace, obs::TraceCategory::kVerify, "verify");
-    Result<Database> replay = SafeReplay(result.mapping, source_, registry_);
+    Result<Database> replay = result.mapping.Apply(source_, registry_);
     if (!replay.ok()) {
       result.verified = false;
       result.verify_status = replay.status();

@@ -11,7 +11,6 @@
 #include "fira/function_registry.h"
 #include "heuristics/heuristic_factory.h"
 #include "relational/database.h"
-#include "runtime/supervisor.h"
 #include "search/search_types.h"
 
 namespace tupelo {
@@ -75,10 +74,8 @@ struct TupeloOptions {
   // must outlive the call). When set it overrides `threads`: beam rungs
   // fan out over this pool and Discover does not create one of its own.
   // Because the pool is shared — the multi-tenant server runs every
-  // tenant's jobs over one pool — Discover leaves its trace hook and task
-  // heartbeat alone; pool-level instrumentation belongs to the pool's
-  // owner, and supervised stall detection falls back to the search
-  // thread's own heartbeats.
+  // tenant's jobs over one pool — Discover leaves its trace hook alone;
+  // pool-level instrumentation belongs to the pool's owner.
   ThreadPool* pool = nullptr;
   // Run the peephole optimizer (fira/optimizer.h) on the discovered
   // expression; the raw search path is replaced by the simplified,
@@ -108,16 +105,6 @@ struct TupeloOptions {
   // (StopReason::kCancelled) right after the Nth successful checkpoint
   // write — a deterministic process death at a checkpoint boundary.
   uint64_t checkpoint_kill_after = 0;
-  // Self-healing supervision (runtime/supervisor.h). With
-  // supervisor.enabled, runs start a watchdog thread: each rung
-  // heartbeats into it, a hung rung is preempted within
-  // supervisor.stall_window_millis (StopReason::kStalled) and retried
-  // with exponential backoff up to supervisor.max_rung_retries times
-  // before the ladder advances; and every rung runs with a poison-state
-  // quarantine, so an exception escaping Expand/ApplyOp quarantines the
-  // offending state instead of aborting the run. limits.max_memory_nodes
-  // stays a hard bound (StopReason::kMemory) with or without supervision.
-  runtime::SupervisorConfig supervisor;
   // Optional metric registry (nullable; default off). When set, the run
   // populates search.*, heuristic.*, executor.*, phase.* and governor.*
   // instruments — see docs/OBSERVABILITY.md for the catalog. Must outlive
@@ -202,13 +189,6 @@ struct TupeloResult {
   bool resumed = false;
   int resume_rungs_skipped = 0;
   uint64_t checkpoint_writes = 0;
-  // Supervision bookkeeping (all zero unless options.supervisor.enabled):
-  // hung rungs the watchdog preempted, stall retries the ladder granted,
-  // and poison states quarantined during the run. Mirrored into the
-  // supervisor.* metrics.
-  uint64_t stall_preemptions = 0;
-  uint64_t rung_retries = 0;
-  uint64_t states_quarantined = 0;
 };
 
 // TUPELO: example-driven discovery of data-mapping expressions.

@@ -1,12 +1,8 @@
 #include "fira/executor.h"
 
 #include <atomic>
-#include <chrono>
 #include <map>
-#include <new>
 #include <optional>
-#include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -23,12 +19,9 @@ void FaultInjector::Arm(std::string op_name, Status status, uint64_t skip) {
   std::lock_guard<std::mutex> lock(mu_);
   armed_ = true;
   mode_ = Mode::kAfterSkip;
-  kind_ = Kind::kStatus;
   op_name_ = std::move(op_name);
   status_ = std::move(status);
   skip_ = skip;
-  delay_millis_ = 0;
-  max_fires_ = 0;
   consults_ = 0;
   injected_ = 0;
 }
@@ -38,14 +31,11 @@ void FaultInjector::ArmProbabilistic(std::string op_name, Status status,
   std::lock_guard<std::mutex> lock(mu_);
   armed_ = true;
   mode_ = Mode::kProbabilistic;
-  kind_ = Kind::kStatus;
   op_name_ = std::move(op_name);
   status_ = std::move(status);
   probability_ = probability < 0.0 ? 0.0 : (probability > 1.0 ? 1.0
                                                               : probability);
   seed_ = seed;
-  delay_millis_ = 0;
-  max_fires_ = 0;
   consults_ = 0;
   injected_ = 0;
 }
@@ -55,12 +45,9 @@ void FaultInjector::ArmEveryNth(std::string op_name, Status status,
   std::lock_guard<std::mutex> lock(mu_);
   armed_ = true;
   mode_ = Mode::kEveryNth;
-  kind_ = Kind::kStatus;
   op_name_ = std::move(op_name);
   status_ = std::move(status);
   every_n_ = n;
-  delay_millis_ = 0;
-  max_fires_ = 0;
   consults_ = 0;
   injected_ = 0;
 }
@@ -68,20 +55,6 @@ void FaultInjector::ArmEveryNth(std::string op_name, Status status,
 void FaultInjector::Disarm() {
   std::lock_guard<std::mutex> lock(mu_);
   armed_ = false;
-  kind_ = Kind::kStatus;
-  delay_millis_ = 0;
-  max_fires_ = 0;
-}
-
-void FaultInjector::SetKind(Kind kind, int64_t delay_millis) {
-  std::lock_guard<std::mutex> lock(mu_);
-  kind_ = kind;
-  delay_millis_ = delay_millis < 0 ? 0 : delay_millis;
-}
-
-void FaultInjector::SetMaxFires(uint64_t max_fires) {
-  std::lock_guard<std::mutex> lock(mu_);
-  max_fires_ = max_fires;
 }
 
 uint64_t FaultInjector::consults() const {
@@ -94,7 +67,7 @@ uint64_t FaultInjector::injected() const {
   return injected_;
 }
 
-bool FaultInjector::ShouldFail(std::string_view op_name, Fault* out) {
+bool FaultInjector::ShouldFail(std::string_view op_name, Status* out) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!armed_) return false;
   if (op_name_ != "*" && op_name_ != op_name) return false;
@@ -115,19 +88,9 @@ bool FaultInjector::ShouldFail(std::string_view op_name, Fault* out) {
       fire = every_n_ > 0 && (index + 1) % every_n_ == 0;
       break;
   }
-  if (fire && max_fires_ > 0 && injected_ >= max_fires_) fire = false;
   if (!fire) return false;
   ++injected_;
-  out->kind = kind_;
-  out->status = status_;
-  out->delay_millis = delay_millis_;
-  return true;
-}
-
-bool FaultInjector::ShouldFail(std::string_view op_name, Status* out) {
-  Fault fault;
-  if (!ShouldFail(op_name, &fault)) return false;
-  *out = std::move(fault.status);
+  *out = status_;
   return true;
 }
 
@@ -473,40 +436,19 @@ Result<Database> ApplyOp(const Op& op, const Database& input,
                          obs::MetricRegistry* metrics,
                          obs::TraceSession* trace) {
   if (FaultInjector* injector = GetFaultInjector(); injector != nullptr) {
-    FaultInjector::Fault fault;
+    Status fault;
     if (injector->ShouldFail(OpName(op), &fault)) {
       if (metrics != nullptr) {
         const std::string name = OpName(op);
         metrics->GetCounter("executor." + name + ".count").Increment();
-        if (fault.kind != FaultInjector::Kind::kDelay) {
-          metrics->GetCounter("executor." + name + ".failures").Increment();
-        }
+        metrics->GetCounter("executor." + name + ".failures").Increment();
       }
       if (trace != nullptr) {
         // kFault instants bump the session's fault counter, which is one
         // of the flight-recorder dump triggers.
-        trace->EmitInstant(obs::TraceCategory::kFault, "fault.injected",
-                           "kind", static_cast<int64_t>(fault.kind));
+        trace->EmitInstant(obs::TraceCategory::kFault, "fault.injected");
       }
-      switch (fault.kind) {
-        case FaultInjector::Kind::kStatus:
-          return fault.status;
-        case FaultInjector::Kind::kThrow:
-          // A poison state: the exception escapes ApplyOp and Expand.
-          // GuardedExpand (search/search_types.h) quarantines the state;
-          // without a quarantine it unwinds to the caller.
-          throw std::runtime_error(fault.status.message());
-        case FaultInjector::Kind::kBadAlloc:
-          // Simulated allocation failure inside Expand.
-          throw std::bad_alloc();
-        case FaultInjector::Kind::kDelay:
-          // A hung/slow application: stall the applying thread, then
-          // execute normally. The watchdog's stall detector sees the
-          // silent heartbeat and preempts the rung.
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(fault.delay_millis));
-          break;
-      }
+      return fault;
     }
   }
   if (metrics == nullptr && trace == nullptr) {

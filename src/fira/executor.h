@@ -32,30 +32,6 @@ class FaultInjector {
     kEveryNth,        // fail every Nth matching application
   };
 
-  // What a fired fault *does* at the ApplyOp boundary. kStatus is the
-  // classic typed-error injection; the chaos kinds below exercise the
-  // supervision layer (runtime/supervisor.h):
-  //   kThrow    — throw std::runtime_error out of ApplyOp: a poison state
-  //               for the quarantine (or a lethal escape without one);
-  //   kBadAlloc — throw std::bad_alloc: simulated allocation failure
-  //               inside Expand;
-  //   kDelay    — sleep `delay_millis` on the applying thread, then
-  //               execute normally: a hung/slow rung for the watchdog's
-  //               stall detector.
-  enum class Kind {
-    kStatus,
-    kThrow,
-    kBadAlloc,
-    kDelay,
-  };
-
-  // A fired fault as ApplyOp consumes it.
-  struct Fault {
-    Kind kind = Kind::kStatus;
-    Status status;
-    int64_t delay_millis = 0;
-  };
-
   // Arms the injector: applications of `op_name` (script-name form —
   // "promote", "rename_att", ...; "*" matches every operator) fail with
   // `status` after `skip` matching applications have been allowed through.
@@ -75,17 +51,6 @@ class FaultInjector {
 
   void Disarm();
 
-  // Overrides what the armed configuration does when it fires (default
-  // Kind::kStatus). Orthogonal to the firing discipline: any Arm* mode
-  // can throw, stall, or simulate allocation failure. Arm*/Disarm reset
-  // the kind back to kStatus.
-  void SetKind(Kind kind, int64_t delay_millis = 0);
-
-  // Caps how many times the armed configuration fires (0 = unlimited,
-  // the default). A one-shot stall (`SetMaxFires(1)` with Kind::kDelay)
-  // is the deterministic "transient fault" of the retry/backoff tests.
-  void SetMaxFires(uint64_t max_fires);
-
   // Matching applications consulted so far (allowed + failed) since the
   // last Arm. Lets tests position `skip` deterministically, e.g. at the
   // first verification replay after a search.
@@ -93,27 +58,20 @@ class FaultInjector {
   // Applications actually failed since the last Arm.
   uint64_t injected() const;
 
-  // Consulted by ApplyOp; returns true and fills `out` when this
-  // application must fault (see Fault::kind for what to do).
-  bool ShouldFail(std::string_view op_name, Fault* out);
-
-  // Back-compat view for callers that only understand status injection:
-  // fills `out` with the fault's status regardless of kind.
+  // Consulted by ApplyOp; returns true and fills `out` with the injected
+  // status when this application must fail.
   bool ShouldFail(std::string_view op_name, Status* out);
 
  private:
   mutable std::mutex mu_;
   bool armed_ = false;
   Mode mode_ = Mode::kAfterSkip;
-  Kind kind_ = Kind::kStatus;
   std::string op_name_;
   Status status_;
   uint64_t skip_ = 0;
   double probability_ = 0.0;
   uint64_t seed_ = 0;
   uint64_t every_n_ = 0;
-  int64_t delay_millis_ = 0;
-  uint64_t max_fires_ = 0;
   uint64_t consults_ = 0;
   uint64_t injected_ = 0;
 };

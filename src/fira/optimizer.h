@@ -29,8 +29,8 @@ namespace tupelo {
 // freshness requirement, and even reordering two drops can turn a
 // NotFound into a last-column FailedPrecondition. Callers that need the
 // original's failure behavior must keep the original expression (search
-// does: SafeReplay verifies candidates before Simplify touches them) or
-// go through Optimize below.
+// does: Discover simplifies only a path that already reached the target)
+// or go through Optimize below.
 MappingExpression Simplify(const MappingExpression& expression);
 
 // Failure-exact optimization. Unlike Simplify, the contract here is full

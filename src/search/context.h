@@ -16,12 +16,12 @@ namespace tupelo {
 // The plumbing every search algorithm shares, created once per search
 // call: the budget guard, the search.* instruments, the trace session and
 // the call's "search.<algo>" span, the checkpoint sink (null when none is
-// installed for the problem's state/action types), the quarantine-guarded
-// Expand, and the outcome being built. Each algorithm keeps only its
-// control loop and calls these steps in its own order (the order fixes
-// the reported counts, so it is the algorithm's to choose). Every method
-// is a small inline call: no virtual dispatch or type-erased callback on
-// the per-visit path.
+// installed for the problem's state/action types), the counted Expand,
+// and the outcome being built. Each algorithm keeps only its control
+// loop and calls these steps in its own order (the order fixes the
+// reported counts, so it is the algorithm's to choose). Every method is
+// a small inline call: no virtual dispatch or type-erased callback on the
+// per-visit path.
 //
 // Instruments resolve once from the nullable MetricRegistry; with a null
 // registry every hook is a single branch on a null pointer, so
@@ -139,7 +139,7 @@ struct SearchContext {
   }
 
   auto Expand(const State& state) {
-    auto successors = GuardedExpand(problem, state, limits.quarantine);
+    auto successors = problem.Expand(state);
     CountExpand(successors.size());
     return successors;
   }

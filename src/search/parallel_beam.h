@@ -97,11 +97,11 @@ SearchOutcome<typename P::Action> ParallelBeamSearch(
     std::vector<Fp128> keys;
     std::vector<int> hs;
   };
-  auto expand = [&problem, &limits](const Node& node, Prepared& slot) {
+  auto expand = [&problem](const Node& node, Prepared& slot) {
     slot.ready = true;
     slot.is_goal = problem.IsGoal(node.state);
     if (slot.is_goal) return;
-    slot.successors = GuardedExpand(problem, node.state, limits.quarantine);
+    slot.successors = problem.Expand(node.state);
     slot.keys.reserve(slot.successors.size());
     for (const auto& succ : slot.successors) {
       slot.keys.push_back(StateFingerprint(problem, succ.state));
@@ -177,11 +177,11 @@ SearchOutcome<typename P::Action> ParallelBeamSearch(
       for (size_t i = 0; i < frontier.size(); ++i) {
         pool->Submit([&frontier, &prepared, &prepare, &limits, &wg, i] {
           if (limits.cancel == nullptr || !limits.cancel->cancelled()) {
-            // wg.Done() must run even if prepare throws (possible only
-            // with no quarantine installed): a leaked Done would wedge
-            // the barrier forever. The slot is reset so the merge phase
-            // recomputes it inline — on the caller's thread, where the
-            // exception propagates to the caller instead of a worker.
+            // wg.Done() must run even if prepare throws (a real
+            // bad_alloc): a leaked Done would wedge the barrier forever.
+            // The slot is reset so the merge phase recomputes it inline —
+            // on the caller's thread, where the exception propagates to
+            // the caller instead of a worker.
             try {
               prepare(frontier[i], prepared[i]);
             } catch (...) {

@@ -4,14 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string_view>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -136,11 +133,10 @@ enum class StopReason {
   kMemory,     // SearchLimits::max_memory_nodes tripped
   kDeadline,   // SearchLimits::deadline_millis tripped
   kCancelled,  // CancelToken fired
-  kStalled,    // supervisor preempted a hung rung (no heartbeat progress)
 };
 
 // "found", "exhausted", "states", "depth", "memory", "deadline",
-// "cancelled", "stalled" — stable names for reports and logs.
+// "cancelled" — stable names for reports and logs.
 inline std::string_view StopReasonName(StopReason reason) {
   switch (reason) {
     case StopReason::kFound:
@@ -157,8 +153,6 @@ inline std::string_view StopReasonName(StopReason reason) {
       return "deadline";
     case StopReason::kCancelled:
       return "cancelled";
-    case StopReason::kStalled:
-      return "stalled";
   }
   return "unknown";
 }
@@ -176,10 +170,10 @@ inline bool IsResourceStop(StopReason reason) {
 // searches via Reset().
 //
 // Tokens chain: a token with a parent reports cancelled when either it
-// or the parent has fired. Discover hands each supervised rung a
-// private token parented on the caller's, so the watchdog can preempt a
-// hung rung without consuming the caller's token, while a caller-side
-// Cancel still stops the rung.
+// or the parent has fired. Discover's checkpoint-kill seam and the serve
+// layer's per-job tokens are parented on the caller's (or the manager's),
+// so they can stop one run without consuming the parent token, while a
+// parent-side Cancel still stops the run.
 //
 // The chain is held through shared, heap-allocated flag nodes: a child
 // keeps its parent's node alive, so cancelled() stays safe (and keeps
@@ -212,94 +206,6 @@ class CancelToken {
   };
   std::shared_ptr<Node> node_;
 };
-
-// Liveness/progress beacon for the watchdog supervisor
-// (runtime/supervisor.h). A search stamps its slot from the BudgetGuard's
-// amortized poll tick (and the thread pool bumps `beats` per task), all
-// relaxed atomic stores — the hot path pays nothing it was not already
-// paying for governance. The supervisor thread reads the slot
-// periodically: `beats` unchanged and `states` flat across a stall window
-// means the rung is hung (a wedged Expand, an injected delay, a deadlock)
-// and it gets preempted.
-struct HeartbeatSlot {
-  std::atomic<uint64_t> beats{0};
-  std::atomic<uint64_t> states{0};
-
-  void Beat(uint64_t states_examined) {
-    beats.fetch_add(1, std::memory_order_relaxed);
-    states.store(states_examined, std::memory_order_relaxed);
-  }
-};
-
-// Bounded denylist of poison-state fingerprints: states whose Expand threw
-// (a poisoned cache entry, an injected allocation failure, a buggy
-// operator). A quarantined state is never re-expanded — GuardedExpand
-// returns no successors for it, so the search routes around it and the
-// run continues instead of dying. FIFO-bounded so a pathological workload
-// cannot grow it without limit; `poisoned()` counts every quarantine
-// event (admissions), which keeps the telemetry monotonic even after
-// eviction.
-class StateQuarantine {
- public:
-  explicit StateQuarantine(size_t capacity = 1024)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  bool Contains(const Fp128& fp) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return set_.find(fp) != set_.end();
-  }
-
-  // Returns true if the fingerprint was newly quarantined.
-  bool Add(const Fp128& fp) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!set_.insert(fp).second) return false;
-    fifo_.push_back(fp);
-    while (fifo_.size() > capacity_) {
-      set_.erase(fifo_.front());
-      fifo_.pop_front();
-    }
-    poisoned_ += 1;
-    return true;
-  }
-
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return set_.size();
-  }
-  uint64_t poisoned() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return poisoned_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  size_t capacity_;
-  std::unordered_set<Fp128, Fp128Hash> set_;
-  std::deque<Fp128> fifo_;
-  uint64_t poisoned_ = 0;
-};
-
-// The poison-state boundary every algorithm expands through. With no
-// quarantine installed this is a plain Expand call — no try block, no
-// fingerprint, zero overhead, and exceptions propagate exactly as before.
-// With one installed: a quarantined state yields no successors, and an
-// exception escaping Expand (ApplyOp included) quarantines the state's
-// fingerprint and yields no successors — the search treats it as a dead
-// end and keeps going.
-template <typename Problem, typename State>
-auto GuardedExpand(const Problem& problem, const State& state,
-                   StateQuarantine* quarantine)
-    -> decltype(problem.Expand(state)) {
-  if (quarantine == nullptr) return problem.Expand(state);
-  const Fp128 fp = StateFingerprint(problem, state);
-  if (quarantine->Contains(fp)) return {};
-  try {
-    return problem.Expand(state);
-  } catch (...) {
-    quarantine->Add(fp);
-    return {};
-  }
-}
 
 // Type-erased base for CheckpointSink<State, Action> so SearchLimits can
 // carry a sink without being templated. SearchContext downcasts it once
@@ -407,14 +313,6 @@ struct SearchLimits {
   // the problem's state/action types or it resolves to null and is
   // ignored. See SearchSeed for what each algorithm captures.
   CheckpointSinkBase* checkpoint_sink = nullptr;
-  // Liveness beacon for the watchdog supervisor (not owned, may be null).
-  // Stamped on the amortized poll tick with the states examined so far;
-  // see HeartbeatSlot.
-  HeartbeatSlot* heartbeat = nullptr;
-  // Poison-state denylist (not owned, may be null). When set, every
-  // expansion goes through GuardedExpand: quarantined states produce no
-  // successors and a throwing Expand quarantines instead of unwinding.
-  StateQuarantine* quarantine = nullptr;
 };
 
 // Shared limit-tripping logic for the search algorithms: one object per
@@ -425,8 +323,7 @@ class BudgetGuard {
   explicit BudgetGuard(const SearchLimits& limits)
       : limits_(limits),
         poll_(limits.cancel != nullptr || limits.deadline_millis > 0 ||
-              limits.checkpoint_sink != nullptr ||
-              limits.heartbeat != nullptr) {
+              limits.checkpoint_sink != nullptr) {
     if (limits_.deadline_millis > 0) {
       deadline_ = std::chrono::steady_clock::now() +
                   std::chrono::milliseconds(limits_.deadline_millis);
@@ -450,9 +347,6 @@ class BudgetGuard {
     if (poll_ && ticks_left_-- == 0) {
       ticks_left_ = limits_.check_interval;
       checkpoint_due_ = limits_.checkpoint_sink != nullptr;
-      if (limits_.heartbeat != nullptr) {
-        limits_.heartbeat->Beat(states_examined);
-      }
       if (limits_.cancel != nullptr && limits_.cancel->cancelled()) {
         return StopReason::kCancelled;
       }

@@ -59,7 +59,6 @@ Result<JobStatus> JobFromReply(const obs::JsonValue& reply) {
   s.queue_millis = dbl("queue_millis");
   s.run_millis = dbl("run_millis");
   s.total_millis = dbl("total_millis");
-  s.retries = static_cast<int>(num("retries"));
   s.resumed = boolean("resumed");
   return s;
 }

@@ -76,7 +76,6 @@ obs::JsonValue SpecToJson(const JobSpec& spec) {
   v["deadline_millis"] = spec.deadline_millis;
   v["max_states"] = spec.max_states;
   v["beam_width"] = static_cast<uint64_t>(spec.beam_width);
-  v["supervise"] = spec.supervise;
   v["cancel_on_disconnect"] = spec.cancel_on_disconnect;
   return v;
 }
@@ -96,7 +95,6 @@ Result<JobSpec> SpecFromJson(const obs::JsonValue& v) {
   spec.deadline_millis = GetInt(v, "deadline_millis");
   spec.max_states = static_cast<uint64_t>(GetInt(v, "max_states"));
   const int64_t beam_width = GetInt(v, "beam_width", 8);
-  spec.supervise = GetBool(v, "supervise");
   spec.cancel_on_disconnect = GetBool(v, "cancel_on_disconnect");
   // Validate what would otherwise only explode inside a worker: the
   // instances must parse and the algorithm/heuristic must exist. Typed
@@ -150,7 +148,6 @@ obs::JsonValue StatusToJson(const JobStatus& s) {
   v["queue_millis"] = s.queue_millis;
   v["run_millis"] = s.run_millis;
   v["total_millis"] = s.total_millis;
-  v["retries"] = static_cast<int64_t>(s.retries);
   v["resumed"] = s.resumed;
   return v;
 }
@@ -180,7 +177,6 @@ Result<JobStatus> StatusFromJson(const obs::JsonValue& v) {
   if (m != nullptr && m->is_number()) s.run_millis = m->as_double();
   m = v.Find("total_millis");
   if (m != nullptr && m->is_number()) s.total_millis = m->as_double();
-  s.retries = static_cast<int>(GetInt(v, "retries"));
   s.resumed = GetBool(v, "resumed");
   return s;
 }
@@ -613,10 +609,6 @@ void JobManager::RunJob(Job& job) {
       options.resume = job.recovered;
       options.metrics = config_.metrics;
       options.trace = config_.trace;
-      if (job.spec.supervise) {
-        options.supervisor = config_.supervisor;
-        options.supervisor.enabled = true;
-      }
       options.on_progress = [this, &job](const DiscoverProgress& p) {
         std::lock_guard<std::mutex> lock(mu_);
         job.status.states_examined = p.states_examined;
@@ -631,8 +623,6 @@ void JobManager::RunJob(Job& job) {
         BumpVersion(job);
       };
 
-      // A stalled rung is retried inside Discover (max_rung_retries);
-      // the job itself runs once.
       Clock::time_point run_start = Clock::now();
       outcome = tupelo.Discover(options);
       ran = true;
@@ -671,7 +661,6 @@ void JobManager::RunJob(Job& job) {
     job.status.states_examined = r.stats.states_examined;
     job.status.best_h = r.partial_h;
     job.status.resumed = r.resumed;
-    job.status.retries = static_cast<int>(r.rung_retries);
     if (r.found) job.status.script = r.mapping.ToScript();
     if (!r.partial_mapping.steps().empty() || r.partial_h >= 0) {
       job.status.partial_script = r.partial_mapping.ToScript();

@@ -18,7 +18,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "relational/database.h"
-#include "runtime/supervisor.h"
 #include "search/search_types.h"
 
 namespace tupelo::serve {
@@ -38,7 +37,6 @@ struct JobSpec {
   int64_t deadline_millis = 0;  // 0 = server default
   uint64_t max_states = 0;      // 0 = server fair-share slice
   size_t beam_width = 8;
-  bool supervise = false;
   // Cancel the job if the submitting connection goes away before it
   // finishes (interactive clients); detached batch jobs leave this off.
   bool cancel_on_disconnect = false;
@@ -76,7 +74,6 @@ struct JobStatus {
   double queue_millis = 0.0;
   double run_millis = 0.0;
   double total_millis = 0.0;  // submit → terminal, what clients perceive
-  int retries = 0;  // stalled-rung retries Discover granted (rung_retries)
   bool resumed = false;  // restarted from a crash-recovered checkpoint
 };
 
@@ -116,9 +113,6 @@ struct JobManagerConfig {
   int64_t default_deadline_millis = 2000;
   int64_t max_deadline_millis = 60000;
   uint64_t checkpoint_interval_states = 256;
-  // Supervisor template for jobs submitted with supervise=true; its
-  // max_rung_retries bounds how often a stalled rung is re-run.
-  runtime::SupervisorConfig supervisor;
   // Retention: keep at most this many completed-job journal triples on
   // disk (oldest pruned first); 0 keeps everything.
   size_t checkpoint_keep = 0;

@@ -145,6 +145,37 @@ TEST(GovernanceTest, DefaultLadderShape) {
   EXPECT_EQ(ladder[1].algorithm, SearchAlgorithm::kBeam);
 }
 
+// A tiny max_memory_nodes is a hard bound on every rung: the IDA* rung
+// stops on kMemory and the ladder falls through to the beam rung, which
+// trips the same bound. The run ends cleanly on the memory stop — no
+// cancellation, no error.
+TEST(GovernanceTest, MemoryBoundStopsRungAndAdvancesLadder) {
+  Database source = Tdb(
+      "relation R (A0, A1, A2, A3, A4, A5) { (a, b, c, d, e, f) }");
+  Database target = Tdb(
+      "relation R (B0, B1, B2, B3, B4, B5, Z) { (a, b, c, d, e, f, zz) }");
+  Tupelo system(source, target);
+
+  TupeloOptions options;
+  options.ladder = DefaultLadder();
+  options.limits.max_memory_nodes = 40;
+  options.limits.max_states = 200000;
+  obs::MetricRegistry metrics;
+  options.metrics = &metrics;
+
+  TupeloResult r = MustDiscover(system, options);
+  ASSERT_EQ(r.rungs.size(), 2u);
+  EXPECT_EQ(r.rungs[0].algorithm, SearchAlgorithm::kIda);
+  EXPECT_EQ(r.rungs[0].stop, StopReason::kMemory);
+  EXPECT_EQ(r.rungs[1].algorithm, SearchAlgorithm::kBeam);
+  EXPECT_EQ(r.rungs[1].stop, StopReason::kMemory);
+  EXPECT_EQ(r.stop_reason, StopReason::kMemory);
+  EXPECT_TRUE(r.budget_exhausted);
+  EXPECT_FALSE(r.found);
+  EXPECT_EQ(metrics.CounterValue("governor.memory_trips"), 2u);
+  EXPECT_EQ(metrics.CounterValue("governor.fallback_activations"), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Cancellation
 // ---------------------------------------------------------------------------

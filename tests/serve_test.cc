@@ -2,8 +2,9 @@
 // and typed shedding, fair-share scheduling of concurrent jobs over one
 // shared pool, parented CancelToken trees (sibling isolation, disconnect
 // races), deadline propagation through queue time, crash-durable
-// journaling with boot-time recovery, stale-tmp sweep and retention,
-// and stall recovery for supervised jobs (docs/SERVING.md). The TCP shell gets one end-to-end pass; everything
+// journaling with boot-time recovery (including journals that carry
+// fields older servers wrote), stale-tmp sweep and retention
+// (docs/SERVING.md). The TCP shell gets one end-to-end pass; everything
 // else drives JobManager directly.
 #include <gtest/gtest.h>
 
@@ -20,7 +21,6 @@
 #include <vector>
 
 #include "core/checkpoint.h"
-#include "fira/executor.h"
 #include "obs/metrics.h"
 #include "relational/io.h"
 #include "serve/client.h"
@@ -137,7 +137,6 @@ TEST(ServeSpecTest, JsonRoundTripPreservesEveryField) {
   spec.heuristic = "h2";
   spec.max_states = 12345;
   spec.beam_width = 3;
-  spec.supervise = true;
   spec.cancel_on_disconnect = true;
 
   Result<JobSpec> back = SpecFromJson(SpecToJson(spec));
@@ -150,7 +149,6 @@ TEST(ServeSpecTest, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(back->deadline_millis, 250);
   EXPECT_EQ(back->max_states, 12345u);
   EXPECT_EQ(back->beam_width, 3u);
-  EXPECT_TRUE(back->supervise);
   EXPECT_TRUE(back->cancel_on_disconnect);
 }
 
@@ -212,45 +210,6 @@ TEST(JobManagerTest, RunsAJobToVerifiedCompletion) {
   // Terminal record + spec journal are both durable.
   EXPECT_TRUE(dir.Has(outcome->job_id + ".done"));
   EXPECT_TRUE(dir.Has(outcome->job_id + ".job"));
-  manager.Shutdown();
-}
-
-// A supervised job whose first attempt wedges on a one-shot injected
-// operator delay: the watchdog preempts the rung, Discover retries it in
-// place, and the job still ends found and verified, with the one rung
-// retry reported as the job's `retries`. The pair is large enough that
-// the search polls its cancel token (every 16 visits) after the delay
-// and before it can reach the goal.
-TEST(JobManagerTest, StalledSupervisedJobRecoversThroughRungRetry) {
-  JournalDir dir("stall");
-  JobManagerConfig config = BaseConfig(dir);
-  config.workers = 1;
-  config.supervisor.tick_millis = 5;
-  config.supervisor.stall_window_millis = 50;
-  obs::MetricRegistry metrics;
-  config.metrics = &metrics;
-  JobManager manager(config);
-  ASSERT_TRUE(manager.Start().ok());
-
-  FaultInjector injector;
-  SetFaultInjector(&injector);
-  injector.ArmEveryNth("*", Status::Internal("wedged"), 2);
-  injector.SetKind(FaultInjector::Kind::kDelay, 400);
-  injector.SetMaxFires(1);
-
-  JobSpec spec = EasyJob(5);
-  spec.supervise = true;
-  Result<SubmitOutcome> outcome = manager.Submit(spec);
-  ASSERT_TRUE(outcome.ok() && outcome->accepted);
-  Result<JobStatus> status = manager.WaitTerminal(outcome->job_id, 20000);
-  SetFaultInjector(nullptr);
-  ASSERT_TRUE(status.ok()) << status.status();
-  EXPECT_EQ(status->state, JobState::kDone);
-  EXPECT_TRUE(status->found);
-  EXPECT_TRUE(status->verified);
-  EXPECT_EQ(status->stop_reason, "found");
-  EXPECT_EQ(status->retries, 1);
-  EXPECT_EQ(metrics.CounterValue("supervisor.stall_preemptions"), 1u);
   manager.Shutdown();
 }
 
@@ -463,6 +422,59 @@ TEST(JobManagerTest, RecoveryServesPriorTerminalRecords) {
   EXPECT_TRUE(status->found);
   EXPECT_EQ(status->script, script);
   recovered.Shutdown();
+}
+
+// Journals written by servers that still had opt-in supervision carry a
+// `"supervise"` flag in their `.job` specs and a `"retries"` count in
+// their `.done` records. Both parsers ignore keys they do not know, so an
+// upgraded server recovers such a journal: the unfinished job reruns to a
+// verified mapping and the finished one is served as it was recorded.
+TEST(JobManagerTest, RecoversJournalWithRemovedSupervisionFields) {
+  JournalDir dir("legacy_fields");
+  obs::JsonValue pending = SpecToJson(EasyJob());
+  pending["id"] = std::string("j000001");
+  pending["supervise"] = true;
+  dir.Write("j000001.job", pending.Dump(2));
+
+  obs::JsonValue finished = SpecToJson(EasyJob());
+  finished["id"] = std::string("j000002");
+  finished["supervise"] = true;
+  dir.Write("j000002.job", finished.Dump(2));
+  JobStatus record;
+  record.id = "j000002";
+  record.state = JobState::kDone;
+  record.found = true;
+  record.verified = true;
+  record.stop_reason = "found";
+  record.script = "rename_att(R, A, B)";
+  obs::JsonValue done = StatusToJson(record);
+  done["retries"] = int64_t{1};
+  dir.Write("j000002.done", done.Dump(2));
+
+  JobManager manager(BaseConfig(dir));
+  ASSERT_TRUE(manager.Start().ok());
+  EXPECT_EQ(manager.jobs_recovered(), 1u);
+
+  Result<JobStatus> rerun = manager.WaitTerminal("j000001", 10000);
+  ASSERT_TRUE(rerun.ok()) << rerun.status();
+  EXPECT_EQ(rerun->state, JobState::kDone);
+  EXPECT_TRUE(rerun->found);
+  EXPECT_TRUE(rerun->verified);
+  EXPECT_EQ(rerun->stop_reason, "found");
+
+  Result<JobStatus> served = manager.GetStatus("j000002");
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ(served->state, JobState::kDone);
+  EXPECT_TRUE(served->found);
+  EXPECT_EQ(served->script, "rename_att(R, A, B)");
+
+  // The next minted id clears both recovered ones.
+  Result<SubmitOutcome> fresh = manager.Submit(EasyJob());
+  ASSERT_TRUE(fresh.ok() && fresh->accepted);
+  EXPECT_NE(fresh->job_id, "j000001");
+  EXPECT_NE(fresh->job_id, "j000002");
+  ASSERT_TRUE(manager.WaitTerminal(fresh->job_id, 10000).ok());
+  manager.Shutdown();
 }
 
 TEST(JobManagerTest, BootSweepsOrphanedTmpFiles) {

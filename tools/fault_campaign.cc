@@ -19,36 +19,21 @@
 //   3  mixed: operator faults + kill at a checkpoint boundary + resume
 //      with faults cleared (invariants only; faults perturb the explored
 //      space, so equivalence with a clean baseline is not expected)
-//
-// Chaos families (the self-healing runtime of runtime/supervisor.h; all
-// run with the supervisor enabled and add its invariants — a supervised
-// trial must still end in a clean status, and a watchdog-recovered run
-// must reproduce the clean baseline where equivalence is well-defined):
-//   4  transient stall: a one-shot injected operator delay wedges the
-//      rung far past the stall window; the watchdog preempts
-//      (StopReason::kStalled), the retry runs fault-free and must match
-//      the unfaulted baseline's mapping/verification exactly
-//   5  poison states: operator faults that *throw* (runtime_error or
-//      bad_alloc); the quarantine absorbs them and the run must end
-//      cleanly (never crash, never a Discover-level error)
-//   6  memory pressure: a tiny max_memory_nodes bound under supervision;
-//      the hard bound stops rungs cleanly (StopReason::kMemory) while
-//      the watchdog runs — never a crash, never a Discover-level error
-//   7  mixed chaos: throwing/delaying/status faults + a checkpoint-kill
-//      + supervision, then a fault-free resume; invariants only (clean
-//      statuses + checkpoint integrity)
+//   4  memory pressure: a tiny max_memory_nodes bound; the hard bound
+//      stops rungs cleanly (StopReason::kMemory) — never a crash, never
+//      a Discover-level error
 //
 // Service-level families (the discovery service of serve/job_manager.h;
 // in-process JobManager trials — the full-process kill -9 variant runs
 // in serve_loadgen and the serve_smoke ctest):
-//   8  serve-crash: submit a batch of jobs (some unsatisfiable so they
+//   5  serve-crash: submit a batch of jobs (some unsatisfiable so they
 //      run their whole deadline), preempt the manager mid-flight, then
 //      recover a fresh manager on the same journal directory. Graceful
 //      preemption and kill -9 share one recovery path (in-flight jobs
 //      keep a `.job` with no `.done`), so this asserts the crash
 //      contract: every accepted job reaches a terminal state after the
 //      restart, none with a Discover-level error
-//   9  serve-overload: a one-worker manager with a tiny admission queue
+//   6  serve-overload: a one-worker manager with a tiny admission queue
 //      under a submit burst. Sheds must be typed (accepted=false with a
 //      positive Retry-After hint), the queue must stay bounded, and
 //      every accepted job must still reach a terminal state — never
@@ -71,7 +56,7 @@
 // through ParseFlightRecord — an unparseable dump is itself a violation.
 //
 // Exits non-zero if any invariant is violated; the --json report follows
-// the schema-6 bench layout (scripts/check_bench_json.py) with one run
+// the bench layout (scripts/check_bench_json.py) with one run
 // per trial plus a "summary" panel.
 
 #include <unistd.h>
@@ -163,11 +148,7 @@ struct Campaign {
   uint64_t resumes = 0;
   uint64_t faults_injected = 0;
   uint64_t flight_dumps = 0;
-  // Self-healing interventions observed across the chaos families.
-  uint64_t stall_preemptions = 0;
-  uint64_t memory_stops = 0;  // rungs family 6 saw stop on kMemory
-  uint64_t rung_retries = 0;
-  uint64_t states_quarantined = 0;
+  uint64_t memory_stops = 0;  // rungs family 4 saw stop on kMemory
 
   void Violation(uint64_t trial, const std::string& what) {
     ++violations;
@@ -181,11 +162,10 @@ constexpr SearchAlgorithm kAlgorithms[] = {
     SearchAlgorithm::kGreedy, SearchAlgorithm::kBeam,
 };
 
-constexpr int kFamilies = 10;
+constexpr int kFamilies = 7;
 constexpr const char* kFamilyNames[kFamilies] = {
-    "kill-resume",      "probabilistic-faults", "every-nth-faults",
-    "mixed-kill",       "stall",                "poison",
-    "memory-pressure",  "mixed-chaos",          "serve-crash",
+    "kill-resume",     "probabilistic-faults", "every-nth-faults",
+    "mixed-kill",      "memory-pressure",      "serve-crash",
     "serve-overload",
 };
 
@@ -210,19 +190,6 @@ void RemoveJobJournal(const std::string& dir, const std::string& id) {
   std::remove((dir + "/" + id + ".job").c_str());
   std::remove((dir + "/" + id + ".tck").c_str());
   std::remove((dir + "/" + id + ".done").c_str());
-}
-
-// The supervision knobs the chaos families run under: a fast watchdog
-// (5 ms ticks, 50 ms stall window) so injected 200+ ms delays are
-// preempted promptly, with one backed-off retry.
-runtime::SupervisorConfig ChaosSupervision() {
-  runtime::SupervisorConfig config;
-  config.enabled = true;
-  config.tick_millis = 5;
-  config.stall_window_millis = 50;
-  config.max_rung_retries = 2;
-  config.retry_backoff_millis = 5;
-  return config;
 }
 
 }  // namespace
@@ -441,78 +408,12 @@ int main(int argc, char** argv) {
       }
       std::remove(ckpt_path.c_str());
     } else if (family == 4) {
-      // Transient stall: one injected operator delay (~4-7x the stall
-      // window) wedges the rung; the watchdog must preempt it and the
-      // fault-free retry must reproduce the clean baseline exactly.
-      TrialRun baseline = RunOnce(pair, base);
-      if (!baseline.ok) {
-        campaign.Violation(t, "stall baseline error: " + baseline.error);
-        continue;
-      }
-      TupeloOptions sup = base;
-      sup.supervisor = ChaosSupervision();
-      injector.ArmEveryNth("*", Status::Internal("chaos stall"),
-                           2 + rng.Below(4));
-      injector.SetKind(FaultInjector::Kind::kDelay,
-                       static_cast<int64_t>(200 + rng.Below(150)));
-      injector.SetMaxFires(1);
-      final_run = RunOnce(pair, sup);
-      campaign.faults_injected += injector.injected();
-      injector.Disarm();
-      if (!final_run.ok) {
-        campaign.Violation(t, "stall trial error: " + final_run.error);
-        continue;
-      }
-      campaign.stall_preemptions += final_run.result.stall_preemptions;
-      campaign.rung_retries += final_run.result.rung_retries;
-      if (final_run.result.found != baseline.result.found ||
-          final_run.result.verified != baseline.result.verified ||
-          final_run.result.mapping.ToScript() !=
-              baseline.result.mapping.ToScript()) {
-        campaign.Violation(
-            t, "stall-recovery equivalence failure (" +
-                   std::string(SearchAlgorithmName(algo)) + ", n=" +
-                   std::to_string(sizes[which]) + "): baseline " +
-                   std::string(StopReasonName(baseline.result.stop_reason)) +
-                   " vs recovered " +
-                   std::string(StopReasonName(final_run.result.stop_reason)));
-      }
-    } else if (family == 5) {
-      // Poison states: throwing operator faults under supervision. The
-      // quarantine must absorb every escaped exception; the run must end
-      // in a clean status whatever the outcome.
-      TupeloOptions sup = base;
-      sup.supervisor = ChaosSupervision();
-      Status fault = Status::Internal("chaos poison");
-      if (rng.Below(2) == 0) {
-        injector.ArmProbabilistic("*", std::move(fault),
-                                  0.05 + 0.25 * rng.Unit(), rng.Next());
-      } else {
-        injector.ArmEveryNth("*", std::move(fault), 2 + rng.Below(8));
-      }
-      injector.SetKind(rng.Below(2) == 0 ? FaultInjector::Kind::kThrow
-                                         : FaultInjector::Kind::kBadAlloc);
-      final_run = RunOnce(pair, sup);
-      campaign.faults_injected += injector.injected();
-      injector.Disarm();
-      if (!final_run.ok) {
-        campaign.Violation(t, "poison trial error: " + final_run.error);
-        continue;
-      }
-      campaign.states_quarantined += final_run.result.states_quarantined;
-      if (final_run.result.found && final_run.result.verified &&
-          !final_run.result.verify_status.ok()) {
-        campaign.Violation(t, "verified=true with a failed verify_status");
-      }
-    } else if (family == 6) {
-      // Memory pressure: a tiny node bound under supervision. A clean
-      // memory stop (or a mapping found inside the bound) is acceptable;
-      // a crash or error status is not.
-      TupeloOptions sup = base;
-      sup.supervisor = ChaosSupervision();
-      sup.supervisor.tick_millis = 2;
-      sup.limits.max_memory_nodes = 24 + rng.Below(64);
-      final_run = RunOnce(pair, sup);
+      // Memory pressure: a tiny node bound. A clean memory stop (or a
+      // mapping found inside the bound) is acceptable; a crash or error
+      // status is not.
+      TupeloOptions bounded = base;
+      bounded.limits.max_memory_nodes = 24 + rng.Below(64);
+      final_run = RunOnce(pair, bounded);
       if (!final_run.ok) {
         campaign.Violation(t, "memory trial error: " + final_run.error);
         continue;
@@ -524,72 +425,9 @@ int main(int argc, char** argv) {
           !final_run.result.verify_status.ok()) {
         campaign.Violation(t, "verified=true with a failed verify_status");
       }
-    } else if (family == 7) {
-      // Mixed chaos: a random fault kind (throwing, delaying, or status)
-      // while checkpointing with a kill under supervision, then a
-      // fault-free supervised resume. Invariants only: clean statuses
-      // and checkpoint integrity.
-      TupeloOptions sup = base;
-      sup.supervisor = ChaosSupervision();
-      Status fault = Status::Internal("chaos mixed");
-      switch (rng.Below(3)) {
-        case 0:
-          injector.ArmProbabilistic("*", std::move(fault),
-                                    0.05 + 0.2 * rng.Unit(), rng.Next());
-          injector.SetKind(FaultInjector::Kind::kThrow);
-          break;
-        case 1:
-          injector.ArmEveryNth("*", std::move(fault), 2 + rng.Below(6));
-          break;
-        default:
-          injector.ArmEveryNth("*", std::move(fault), 2 + rng.Below(4));
-          injector.SetKind(FaultInjector::Kind::kDelay,
-                           static_cast<int64_t>(120 + rng.Below(120)));
-          injector.SetMaxFires(1);
-          break;
-      }
-      TupeloOptions inter = sup;
-      inter.checkpoint_path = ckpt_path;
-      inter.checkpoint_interval_states = 1 + rng.Below(32);
-      inter.checkpoint_kill_after = 1 + rng.Below(3);
-      TrialRun interrupted = RunOnce(pair, inter);
-      campaign.faults_injected += injector.injected();
-      injector.Disarm();
-      if (!interrupted.ok) {
-        campaign.Violation(t, "chaos interrupted run error: " +
-                                  interrupted.error);
-        std::remove(ckpt_path.c_str());
-        continue;
-      }
-      campaign.stall_preemptions += interrupted.result.stall_preemptions;
-      campaign.rung_retries += interrupted.result.rung_retries;
-      campaign.states_quarantined += interrupted.result.states_quarantined;
-      Result<DiscoveryCheckpoint> reloaded = LoadCheckpointFile(ckpt_path);
-      if (!reloaded.ok()) {
-        campaign.Violation(t, "checkpoint integrity failure: " +
-                                  reloaded.status().ToString());
-        std::remove(ckpt_path.c_str());
-        continue;
-      }
-      if (interrupted.result.stop_reason == StopReason::kCancelled) {
-        ++campaign.kills;
-        TupeloOptions res = inter;
-        res.checkpoint_kill_after = 0;
-        res.resume = true;
-        final_run = RunOnce(pair, res);
-        if (!final_run.ok) {
-          campaign.Violation(t, "chaos resume error: " + final_run.error);
-          std::remove(ckpt_path.c_str());
-          continue;
-        }
-        ++campaign.resumes;
-      } else {
-        final_run = std::move(interrupted);
-      }
-      std::remove(ckpt_path.c_str());
     }
 
-    if (family == 8) {
+    if (family == 5) {
       // serve-crash: preempt a live JobManager mid-flight, recover a
       // fresh one on the same journal, and require every accepted job to
       // reach a clean terminal state. Preemption leaves in-flight jobs
@@ -678,7 +516,7 @@ int main(int argc, char** argv) {
       ::rmdir(jdir.c_str());
     }
 
-    if (family == 9) {
+    if (family == 6) {
       // serve-overload: a one-worker manager with a two-deep admission
       // queue under a burst of deadline-long jobs. Sheds must be typed
       // with a positive Retry-After; accepted jobs must all finish.
@@ -773,9 +611,6 @@ int main(int argc, char** argv) {
       run["algorithm"] = std::string(SearchAlgorithmName(algo));
       run["trace_events"] = trace.events_recorded();
       run["trace_dropped"] = trace.events_dropped();
-      run["stall_preemptions"] = final_run.result.stall_preemptions;
-      run["rung_retries"] = final_run.result.rung_retries;
-      run["states_quarantined"] = final_run.result.states_quarantined;
       if (dumped) run["trace_path"] = flight_path;
       report.AddRun(std::move(run));
     }
@@ -786,18 +621,14 @@ int main(int argc, char** argv) {
 
   std::printf(
       "fault campaign: %llu trials, %llu kills, %llu resumes, "
-      "%llu faults injected, %llu flight dumps, %llu stall preemptions, "
-      "%llu rung retries, %llu memory stops, %llu states quarantined, "
+      "%llu faults injected, %llu flight dumps, %llu memory stops, "
       "%llu violations\n",
       static_cast<unsigned long long>(trials_run),
       static_cast<unsigned long long>(campaign.kills),
       static_cast<unsigned long long>(campaign.resumes),
       static_cast<unsigned long long>(campaign.faults_injected),
       static_cast<unsigned long long>(campaign.flight_dumps),
-      static_cast<unsigned long long>(campaign.stall_preemptions),
-      static_cast<unsigned long long>(campaign.rung_retries),
       static_cast<unsigned long long>(campaign.memory_stops),
-      static_cast<unsigned long long>(campaign.states_quarantined),
       static_cast<unsigned long long>(campaign.violations));
 
   if (report.enabled()) {
@@ -811,10 +642,7 @@ int main(int argc, char** argv) {
     run["resumes"] = campaign.resumes;
     run["faults_injected"] = campaign.faults_injected;
     run["flight_dumps"] = campaign.flight_dumps;
-    run["stall_preemptions"] = campaign.stall_preemptions;
     run["memory_stops"] = campaign.memory_stops;
-    run["rung_retries"] = campaign.rung_retries;
-    run["states_quarantined"] = campaign.states_quarantined;
     run["violations"] = campaign.violations;
     report.AddRun(std::move(run));
     if (!report.Write()) return 1;

@@ -601,8 +601,6 @@ int main(int argc, char** argv) {
     run["queue_millis"] =
         out.terminal ? out.final_status.queue_millis : 0.0;
     run["latency_millis"] = out.client_latency_millis;
-    run["retries"] =
-        static_cast<int64_t>(out.terminal ? out.final_status.retries : 0);
     run["violation"] = out.violation;
     report.AddRun(std::move(run));
   }
