@@ -152,9 +152,10 @@ class BenchTrace {
 // Schema 7 additions: the supervision instruments and timings, since
 // removed along with the watchdog supervisor.
 //
-// Schema 8 additions: a root "simd_dispatch" field (the runtime kernel
-// tier the harness ran with — "scalar", "sse42", or "avx2"; see
-// common/simd/dispatch.h), micro_bench runs carry the kernel timings
+// Schema 8 additions: a root "simd_dispatch" field (the host CPU's ISA
+// level — "scalar", "sse42", or "avx2"; see common/simd/dispatch.h.
+// Records before the AVX2 kernels were removed name the kernel tier the
+// run dispatched to), micro_bench runs carry the kernel timings
 // edit_short_ns/edit_long_ns/term_hash_ns/term_merge_ns/
 // estimate_batch_ns, and run metrics may carry the state.tnf_* counters
 // and heuristic.levenshtein.tnf_hits/tnf_misses.

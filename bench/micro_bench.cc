@@ -24,7 +24,6 @@
 
 #include "bench_util.h"
 #include "common/hash.h"
-#include "common/simd/dispatch.h"
 #include "common/simd/edit_distance.h"
 #include "core/mapping_problem.h"
 #include "core/tupelo.h"
@@ -208,8 +207,8 @@ void BM_Levenshtein(benchmark::State& state) {
 }
 BENCHMARK(BM_Levenshtein)->Arg(32)->Arg(256)->Arg(1024)->Arg(4096);
 
-// The pinned-fallback path (TUPELO_SIMD=scalar), for the dispatched-vs-
-// scalar speedup factor without rerunning under the env var.
+// The DP oracle the tests compare EditDistance against, for the
+// Myers-vs-DP speedup factor.
 void BM_LevenshteinScalar(benchmark::State& state) {
   auto [a, b] = EditPair(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
@@ -243,8 +242,8 @@ void BM_TermVectorMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_TermVectorMerge)->Arg(4)->Arg(16)->Arg(32);
 
-// One EstimateCostBatch round over a frontier's worth of successor
-// states, miss path (caches trimmed each iteration): what a beam level
+// One EstimateCost per successor state over a frontier's worth of
+// states (through EstimateCostBatch), miss path (caches trimmed each iteration): what a beam level
 // pays per expansion with the levenshtein heuristic.
 void BM_EstimateBatch(benchmark::State& state) {
   SyntheticMatchingPair pair =
@@ -373,8 +372,8 @@ int RunJsonSuite(int argc, char** argv) {
   const int expand_iters = args.quick ? 50 : 200;
 
   // SIMD kernel timings (schema 8), size-independent — measured once and
-  // stamped on every run so per-run rows stay self-contained. The active
-  // dispatch tier lands in the report's simd_dispatch root field.
+  // stamped on every run so per-run rows stay self-contained. The host's
+  // ISA level lands in the report's simd_dispatch root field.
   const auto [edit_short_a, edit_short_b] = EditPair(64);
   const auto [edit_long_a, edit_long_b] = EditPair(1024);
   double edit_short = NanosPer(iters, [&, &a = edit_short_a,

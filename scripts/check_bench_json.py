@@ -27,8 +27,10 @@ trace session and how many fell off the ring) and the trace.* counters
 counters). Schema_version 7 added the self-healing supervisor's
 "stalled" stop reason, counters, per-run fields and micro timings; the
 supervisor has since been removed, so its fields are no longer checked
-and a "stalled" stop reason is rejected as unknown. Schema_version 8 adds the SIMD kernel layer: a root "simd_dispatch"
-field (the runtime kernel tier — "scalar", "sse42", or "avx2"), the
+and a "stalled" stop reason is rejected as unknown. Schema_version 8
+adds the SIMD kernel layer: a root "simd_dispatch" field (the host CPU's
+ISA level — "scalar", "sse42", or "avx2"; older records name the kernel
+tier the run dispatched to, before the AVX2 kernels were removed), the
 micro_bench kernel timings (edit_short_ns, edit_long_ns, term_hash_ns,
 term_merge_ns, estimate_batch_ns), and the TNF-encoding counters
 (state.tnf_bytes/encodes, heuristic.levenshtein.tnf_hits/misses —

@@ -1,41 +1,15 @@
 #include "common/simd/dispatch.h"
 
-#include <atomic>
-#include <cstdlib>
-
 namespace tupelo::simd {
 namespace {
 
-#if defined(__x86_64__) || defined(_M_X64)
-#define TUPELO_SIMD_X86 1
-#endif
-
 Level ProbeCpu() {
-#if defined(TUPELO_SIMD_X86) && defined(__GNUC__)
+#if (defined(__x86_64__) || defined(_M_X64)) && defined(__GNUC__)
   if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
   if (__builtin_cpu_supports("sse4.2")) return Level::kSse42;
 #endif
   return Level::kScalar;
 }
-
-Level Clamp(Level requested, Level detected) {
-  return static_cast<int>(requested) <= static_cast<int>(detected) ? requested
-                                                                   : detected;
-}
-
-Level ResolveActive() {
-  Level detected = DetectedLevel();
-  const char* env = std::getenv("TUPELO_SIMD");
-  if (env != nullptr && *env != '\0') {
-    if (std::optional<Level> requested = ParseLevelName(env)) {
-      return Clamp(*requested, detected);
-    }
-  }
-  return detected;
-}
-
-// -1 until first resolution; ForceLevelForTesting stores directly.
-std::atomic<int> g_active{-1};
 
 }  // namespace
 
@@ -51,32 +25,9 @@ std::string_view LevelName(Level level) {
   return "scalar";
 }
 
-std::optional<Level> ParseLevelName(std::string_view name) {
-  if (name == "scalar") return Level::kScalar;
-  if (name == "sse42") return Level::kSse42;
-  if (name == "avx2") return Level::kAvx2;
-  return std::nullopt;
-}
-
-Level DetectedLevel() {
-  static const Level detected = ProbeCpu();
-  return detected;
-}
-
 Level ActiveLevel() {
-  int level = g_active.load(std::memory_order_relaxed);
-  if (level < 0) {
-    level = static_cast<int>(ResolveActive());
-    // A racing first call resolves the same value; last store wins.
-    g_active.store(level, std::memory_order_relaxed);
-  }
-  return static_cast<Level>(level);
-}
-
-Level ForceLevelForTesting(Level level) {
-  Level installed = Clamp(level, DetectedLevel());
-  g_active.store(static_cast<int>(installed), std::memory_order_relaxed);
-  return installed;
+  static const Level level = ProbeCpu();
+  return level;
 }
 
 }  // namespace tupelo::simd

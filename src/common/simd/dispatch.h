@@ -1,31 +1,23 @@
 #ifndef TUPELO_COMMON_SIMD_DISPATCH_H_
 #define TUPELO_COMMON_SIMD_DISPATCH_H_
 
-#include <optional>
 #include <string_view>
 
 namespace tupelo::simd {
 
-// CPU capability tiers for the kernel layer. Levels are cumulative: a
-// tier implies everything below it.
+// The host CPU's ISA level, as recorded in benchmark reports
+// (`simd_dispatch`). Levels are cumulative: a tier implies everything
+// below it.
 //
-//   kScalar  portable reference code — the byte-at-a-time DP loop, the
-//            word-serial hash, plain merge loops. This is the path the
-//            differential tests and the Sanitize/TSan lanes pin, and the
-//            path every other tier must agree with bit-for-bit.
-//   kSse42   word-parallel kernels with no wide intrinsics: Myers
-//            bit-parallel edit distance (single-word and blocked) and
-//            the SWAR 4-stripe hash. Runs on any x86-64.
-//   kAvx2    adds the 256-bit paths: 4-lane hash stripes, vectorized
-//            count sums, 32-byte prefix trims, and 4-wide key scans in
-//            the term-vector merges.
+//   kScalar  no SSE4.2 (or not x86-64)
+//   kSse42   SSE4.2
+//   kAvx2    AVX2
 //
-// Every kernel computes the same function at every level — the tiers
-// change instruction selection, never results. Integer outputs (edit
-// distances, hashes) are equal by definition; floating-point outputs
-// stay bit-identical because the term-vector kernels only ever sum and
-// multiply integer-valued doubles (exact at any association) and leave
-// order-sensitive arithmetic on the scalar path.
+// This is a descriptor only: no kernel branches on it. Each kernel in
+// common/simd has one portable implementation (Myers bit-parallel edit
+// distance, the SWAR 4-stripe hash, plain merge loops); AVX2 variants
+// measured slower on the vector heuristics (docs/PERFORMANCE.md, "SIMD
+// kernel layer").
 enum class Level : int {
   kScalar = 0,
   kSse42 = 1,
@@ -35,23 +27,8 @@ enum class Level : int {
 // "scalar", "sse42", "avx2".
 std::string_view LevelName(Level level);
 
-// Inverse of LevelName; nullopt for anything else.
-std::optional<Level> ParseLevelName(std::string_view name);
-
-// Highest tier the running CPU supports, probed once.
-Level DetectedLevel();
-
-// The tier kernels dispatch on: DetectedLevel() clamped by the
-// TUPELO_SIMD environment variable ("scalar" pins the reference path for
-// sanitizer lanes and differential tests; an unknown or empty value is
-// ignored). Resolved once at first use and cached.
+// The running CPU's level, probed once.
 Level ActiveLevel();
-
-// Test hook: overrides ActiveLevel(), clamped to DetectedLevel() (forcing
-// avx2 on a CPU without it silently yields the detected tier). Returns
-// the level actually installed. Differential tests flip this between
-// kernels runs; it is an atomic store, safe against concurrent readers.
-Level ForceLevelForTesting(Level level);
 
 }  // namespace tupelo::simd
 

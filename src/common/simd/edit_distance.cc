@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "common/simd/dispatch.h"
-#include "common/simd/simd_internal.h"
 
 namespace tupelo::simd {
 namespace {
@@ -112,11 +110,6 @@ void BuildPeq(std::string_view pattern, size_t blocks,
 
 size_t CommonPrefix(std::string_view a, std::string_view b) {
   const size_t n = std::min(a.size(), b.size());
-#if defined(TUPELO_SIMD_HAVE_AVX2_TU)
-  if (ActiveLevel() >= Level::kAvx2) {
-    return internal::CommonPrefixAvx2(a.data(), b.data(), n);
-  }
-#endif
   size_t i = 0;
   while (i < n && a[i] == b[i]) ++i;
   return i;
@@ -177,7 +170,6 @@ size_t EditDistanceScalar(std::string_view a, std::string_view b) {
 }
 
 size_t EditDistance(std::string_view a, std::string_view b) {
-  if (ActiveLevel() == Level::kScalar) return EditDistanceScalar(a, b);
   // Common prefix/suffix contribute no edits; trimming them shrinks the
   // DP without changing the distance.
   const size_t prefix = CommonPrefix(a, b);
@@ -203,9 +195,6 @@ PreparedPattern::PreparedPattern(std::string pattern)
 }
 
 size_t PreparedPattern::Distance(std::string_view text) const {
-  if (ActiveLevel() == Level::kScalar) {
-    return EditDistanceScalar(pattern_, text);
-  }
   if (pattern_.empty()) return text.size();
   if (text.empty()) return pattern_.size();
   if (pattern_.size() <= 64) return Myers64(pattern_.size(), peq_.data(), text);

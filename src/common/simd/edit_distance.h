@@ -10,24 +10,22 @@
 namespace tupelo::simd {
 
 // Reference Levenshtein: the classic single-row DP loop, byte at a time.
-// This is the TUPELO_SIMD=scalar path and the oracle the differential
-// tests compare every other tier against.
+// No production caller: it is the oracle the differential tests and
+// BM_LevenshteinScalar compare EditDistance against.
 size_t EditDistanceScalar(std::string_view a, std::string_view b);
 
-// Dispatched Levenshtein. At Level::kScalar this IS EditDistanceScalar;
-// above it, common prefix/suffix trimming (32-byte vectorized at avx2)
-// followed by Myers bit-parallel DP — single-word when the shorter
-// string fits 64 characters, blocked (Hyyrö's algorithm, 64 pattern rows
-// per word with ±1 carries between blocks) otherwise. Edit distance is
-// an integer, so every tier returns exactly the same value.
+// Levenshtein distance: common prefix/suffix trimming followed by Myers
+// bit-parallel DP — single-word when the shorter string fits 64
+// characters, blocked (Hyyrö's algorithm, 64 pattern rows per word with
+// ±1 carries between blocks) otherwise. Returns exactly
+// EditDistanceScalar(a, b).
 size_t EditDistance(std::string_view a, std::string_view b);
 
 // A pattern fixed across many distance calls — the shape of the
 // Levenshtein heuristic, where the target TNF string never changes and
 // every state string is compared against it. Precomputes the per-block
 // match masks (Peq) once; Distance() then runs Myers directly, skipping
-// the per-call table build. At Level::kScalar, Distance() routes to
-// EditDistanceScalar so the pinned-fallback contract holds end to end.
+// the per-call table build.
 class PreparedPattern {
  public:
   explicit PreparedPattern(std::string pattern);

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "common/simd/dispatch.h"
-#include "common/simd/simd_internal.h"
-
 namespace tupelo::simd {
 namespace {
 
@@ -36,45 +33,21 @@ double MergeFold(const uint64_t* xk, const double* xc, size_t nx,
   return acc;
 }
 
-// Below these sizes the wide kernels lose to the plain loops on setup
-// and reduction overhead (measured via BM_TermVectorMerge: small search
-// states produce vectors of a few dozen coordinates, and the skip-ahead
-// calls LowerBoundKey on even shorter remaining spans). The cutoff only
-// picks which of two bit-identical implementations runs, so it cannot
-// affect results.
-constexpr size_t kMinAvx2Sum = 32;
-constexpr size_t kMinAvx2LowerBound = 32;
-
 }  // namespace
 
 double CountSum(const double* c, size_t n) {
-#if defined(TUPELO_SIMD_HAVE_AVX2_TU)
-  if (n >= kMinAvx2Sum && ActiveLevel() >= Level::kAvx2) {
-    return internal::SumAvx2(c, n);
-  }
-#endif
   double sum = 0.0;
   for (size_t i = 0; i < n; ++i) sum += c[i];
   return sum;
 }
 
 double CountSumSquares(const double* c, size_t n) {
-#if defined(TUPELO_SIMD_HAVE_AVX2_TU)
-  if (n >= kMinAvx2Sum && ActiveLevel() >= Level::kAvx2) {
-    return internal::SumSquaresAvx2(c, n);
-  }
-#endif
   double sum = 0.0;
   for (size_t i = 0; i < n; ++i) sum += c[i] * c[i];
   return sum;
 }
 
 size_t LowerBoundKey(const uint64_t* keys, size_t n, uint64_t key) {
-#if defined(TUPELO_SIMD_HAVE_AVX2_TU)
-  if (n >= kMinAvx2LowerBound && ActiveLevel() >= Level::kAvx2) {
-    return internal::LowerBoundAvx2(keys, n, key);
-  }
-#endif
   size_t i = 0;
   while (i < n && keys[i] < key) ++i;
   return i;

@@ -10,8 +10,7 @@ namespace tupelo::simd {
 // sorted unique u64 key arrays with parallel count arrays. Counts are
 // occurrence counts — integer-valued doubles — so every kernel here is
 // exact: any association of integer sums below 2^53 produces the same
-// double, which is what lets the AVX2 lanes return bit-identical results
-// to the scalar loops (pinned by tests/simd_test.cc).
+// double (tests/simd_test.cc checks the merges against a reference).
 
 // Σ c[i].
 double CountSum(const double* c, size_t n);
@@ -20,8 +19,7 @@ double CountSum(const double* c, size_t n);
 double CountSumSquares(const double* c, size_t n);
 
 // Index of the first element of sorted keys[0..n) >= key (unsigned
-// order); n if none. The skip-ahead primitive of the merges, 4 keys per
-// step at avx2.
+// order); n if none. The skip-ahead primitive of the merges.
 size_t LowerBoundKey(const uint64_t* keys, size_t n, uint64_t key);
 
 // Σ xc[i]·yc[j] over key matches of two sorted unique key arrays.

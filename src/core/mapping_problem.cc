@@ -77,72 +77,6 @@ void MappingProblem::set_metrics(obs::MetricRegistry* metrics) {
   heuristic_->BindMetrics(metrics);
 }
 
-void MappingProblem::EstimateCostBatch(
-    std::span<const Database* const> states, std::span<int> out) const {
-  const size_t n = states.size();
-  std::vector<Fp128> keys(n);
-  for (size_t i = 0; i < n; ++i) keys[i] = states[i]->Fingerprint128();
-
-  // Probe phase: resolve cached states, dedup the rest within the batch.
-  // first_miss maps a distinct uncached key to its slot in the miss list;
-  // repeats are cache hits from the sequential path's point of view (the
-  // first occurrence would have populated the cache before they ran).
-  std::vector<size_t> miss_index;
-  std::unordered_map<Fp128, size_t, Fp128Hash> first_miss;
-  uint64_t batch_hits = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (first_miss.contains(keys[i])) {
-      ++batch_hits;
-      continue;
-    }
-    EstimateShard& shard = estimate_shards_[ShardIndex(keys[i])];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.cache.find(keys[i]);
-    if (it != shard.cache.end()) {
-      out[i] = it->second;
-      ++batch_hits;
-    } else {
-      first_miss.emplace(keys[i], miss_index.size());
-      miss_index.push_back(i);
-    }
-  }
-  if (batch_hits > 0 && heuristic_cache_hits_ != nullptr) {
-    heuristic_cache_hits_->Increment(batch_hits);
-  }
-
-  std::vector<int> miss_h(miss_index.size());
-  if (!miss_index.empty()) {
-    std::vector<const Database*> miss_states;
-    miss_states.reserve(miss_index.size());
-    for (size_t idx : miss_index) miss_states.push_back(states[idx]);
-    {
-      obs::ScopedTimer timer(heuristic_nanos_);
-      obs::TraceSpan span(trace_, obs::TraceCategory::kHeuristic,
-                          "heuristic");
-      const TnfEncodeStats tnf_before = ThreadTnfEncodeStats();
-      heuristic_->EstimateBatch(miss_states, miss_h);
-      RecordTnfDelta(tnf_before);
-      span.SetEndArg("batch", static_cast<int64_t>(miss_states.size()));
-    }
-    if (heuristic_evals_ != nullptr) {
-      heuristic_evals_->Increment(miss_index.size());
-    }
-    for (size_t k = 0; k < miss_index.size(); ++k) {
-      const Fp128& key = keys[miss_index[k]];
-      EstimateShard& shard = estimate_shards_[ShardIndex(key)];
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard.cache.emplace(key, miss_h[k]);
-    }
-  }
-
-  // Fill phase: misses and their intra-batch repeats read the computed
-  // values; cache hits were written during the probe.
-  for (size_t i = 0; i < n; ++i) {
-    auto it = first_miss.find(keys[i]);
-    if (it != first_miss.end()) out[i] = miss_h[it->second];
-  }
-}
-
 void MappingProblem::TrimCaches() const {
   {
     std::lock_guard<std::mutex> lock(expand_mu_);

@@ -157,17 +157,16 @@ class MappingProblem {
     return estimate;
   }
 
-  // Batched EstimateCost: out[i] = EstimateCost(*states[i]), with one
-  // pass of shard probes, one heuristic call over the distinct misses
-  // (Heuristic::EstimateBatch, outside every shard lock), and one pass
-  // of inserts. Counter semantics mirror the sequential path exactly:
-  // each distinct uncached state counts one eval, and cached states —
-  // including repeats within the batch, which sequential calls would
-  // have found in the cache — count as cache hits. Values are the same
-  // as N sequential calls (the heuristic is deterministic), so routing a
-  // frontier through here cannot change a search outcome.
+  // out[i] = EstimateCost(*states[i]), one call per state, so values and
+  // counters are those of the sequential calls. The search layer does
+  // not call it; it stays because perfbench's TracedProblem forwards to
+  // it and BM_EstimateBatch times a frontier's worth of estimates.
   void EstimateCostBatch(std::span<const Database* const> states,
-                         std::span<int> out) const;
+                         std::span<int> out) const {
+    for (size_t i = 0; i < states.size(); ++i) {
+      out[i] = EstimateCost(*states[i]);
+    }
+  }
 
   uint64_t StateKey(const Database& state) const {
     return state.Fingerprint();

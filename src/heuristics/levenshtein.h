@@ -7,10 +7,8 @@
 namespace tupelo {
 
 // Levenshtein edit distance (single-character insert, delete,
-// substitute). Thin wrapper over the dispatched kernel in
-// common/simd/edit_distance.h: Myers bit-parallel DP above
-// Level::kScalar, the classic O(|a|·|b|) row DP at it. The distance is
-// an integer, so every dispatch tier returns the same value.
+// substitute). Thin wrapper over the Myers bit-parallel kernel in
+// common/simd/edit_distance.h.
 size_t LevenshteinDistance(std::string_view a, std::string_view b);
 
 }  // namespace tupelo

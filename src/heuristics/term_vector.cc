@@ -84,8 +84,7 @@ double TermVector::NormalizedEuclideanDistance(const TermVector& x,
   // No identity form here: the normalized coordinates x_i/|x| are not
   // exact, and the tests pin exact scale invariance — (2v)/(2|x|) equals
   // v/|x| per coordinate in floating point, which an algebraic
-  // rearrangement would not preserve. Stays a per-coordinate merge at
-  // every dispatch level.
+  // rearrangement would not preserve. Stays a per-coordinate merge.
   double nx = x.Norm();
   double ny = y.Norm();
   double sum = 0.0;

@@ -32,8 +32,8 @@ namespace tupelo {
 //   against `seen` in generation order. A node without a Phase A result
 //   (no pool, or a worker that saw the CancelToken and bowed out) is
 //   goal-tested and expanded here, and only the successors that survive
-//   dedup are estimated, in one batch — so the pool-free beam does no
-//   heuristic work on duplicates.
+//   dedup are estimated — so the pool-free beam does no heuristic work
+//   on duplicates.
 //
 // The dedup set, the budget guard, and every stats update run in the same
 // order either way, so the SearchOutcome does not depend on the pool (the
@@ -108,16 +108,16 @@ SearchOutcome<typename P::Action> ParallelBeamSearch(
     }
   };
   // Phase A's task: runs on a worker, so its span lands on that worker's
-  // trace track, and estimates every successor in one batch.
+  // trace track, and estimates every successor.
   auto prepare = [&problem, &expand, trace](const Node& node,
                                             Prepared& slot) {
     obs::TraceSpan prep_span(trace, obs::TraceCategory::kSearch,
                              "beam.prepare");
     expand(node, slot);
-    std::vector<const State*> succ_states;
-    succ_states.reserve(slot.successors.size());
-    for (const auto& succ : slot.successors) succ_states.push_back(&succ.state);
-    if (!slot.is_goal) slot.hs = EstimateCosts(problem, succ_states);
+    slot.hs.reserve(slot.successors.size());
+    for (const auto& succ : slot.successors) {
+      slot.hs.push_back(problem.EstimateCost(succ.state));
+    }
   };
 
   // Dedup on the full 128-bit identity: a 64-bit collision here would
@@ -216,26 +216,18 @@ SearchOutcome<typename P::Action> ParallelBeamSearch(
       }
 
       ctx.CountExpand(prep.successors.size());
-      std::vector<size_t> fresh;
-      std::vector<const State*> fresh_states;
-      std::vector<int> fresh_hs;
       for (size_t s = 0; s < prep.successors.size(); ++s) {
         if (!seen.insert(prep.keys[s]).second) {
           ctx.DuplicateHit();
           continue;
         }
-        fresh.push_back(s);
-        fresh_states.push_back(&prep.successors[s].state);
-        if (!prep.hs.empty()) fresh_hs.push_back(prep.hs[s]);
-      }
-      // Not estimated in Phase A: estimate only the survivors, in one batch.
-      if (prep.hs.empty()) fresh_hs = EstimateCosts(problem, fresh_states);
-      for (size_t k = 0; k < fresh.size(); ++k) {
-        auto& succ = prep.successors[fresh[k]];
+        auto& succ = prep.successors[s];
+        // Not estimated in Phase A: estimate only the survivors.
+        const int h = prep.hs.empty() ? problem.EstimateCost(succ.state)
+                                      : prep.hs[s];
         std::vector<Action> path = node.path;
         path.push_back(std::move(succ.action));
-        next_level.push_back(
-            Node{std::move(succ.state), std::move(path), fresh_hs[k]});
+        next_level.push_back(Node{std::move(succ.state), std::move(path), h});
       }
       prep = Prepared{};
     }

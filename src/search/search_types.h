@@ -7,7 +7,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -52,16 +51,6 @@ namespace tupelo {
 // states), and a collision in a dedup set silently drops a distinct
 // reachable state.
 //
-// A problem may also provide a batched heuristic
-//
-//   void EstimateCostBatch(std::span<const State* const> states,
-//                          std::span<int> out) const;
-//
-// required to fill out[i] with exactly EstimateCost(*states[i]). Beam
-// search funnels each expansion's successors through it (via
-// EstimateCosts below) so the problem can dedup repeated states and
-// amortize per-call setup; problems that omit it get the per-state loop.
-//
 // MappingProblem (src/core) is the real instance; tests use toy problems.
 // The four algorithms (IDA*, RBFS, best-first A*/greedy, beam) share their
 // plumbing through SearchContext (context.h).
@@ -95,30 +84,6 @@ Fp128 StateFingerprint(const Problem& problem, const State& state) {
     uint64_t key = problem.StateKey(state);
     return Fp128{key, Mix64(key)};
   }
-}
-
-// Batched heuristic evaluation: routes through the problem's
-// EstimateCostBatch when it declares one, else the per-state loop. The
-// values are identical either way (the batch contract requires it), so
-// callers may switch freely between this and N EstimateCost calls
-// without perturbing a search outcome.
-template <typename Problem, typename State>
-std::vector<int> EstimateCosts(const Problem& problem,
-                               const std::vector<const State*>& states) {
-  std::vector<int> out(states.size());
-  if constexpr (requires {
-                  problem.EstimateCostBatch(
-                      std::span<const State* const>(states),
-                      std::span<int>(out));
-                }) {
-    problem.EstimateCostBatch(std::span<const State* const>(states),
-                              std::span<int>(out));
-  } else {
-    for (size_t i = 0; i < states.size(); ++i) {
-      out[i] = problem.EstimateCost(*states[i]);
-    }
-  }
-  return out;
 }
 
 // Why a search stopped. kFound and kExhausted are conclusive (goal reached

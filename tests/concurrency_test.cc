@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <memory>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -322,17 +321,13 @@ void ExpectIdenticalOutcomes(const Outcome& seq, const Outcome& par) {
   EXPECT_EQ(seq.stats.peak_memory_nodes, par.stats.peak_memory_nodes);
 }
 
-// The number line with a batched heuristic that counts the states it
-// estimates.
-struct BatchNumberLineProblem : NumberLineProblem {
+// The number line with a heuristic that counts the states it estimates.
+struct CountingNumberLineProblem : NumberLineProblem {
   mutable std::atomic<uint64_t> estimated{0};
 
-  void EstimateCostBatch(std::span<const State* const> states,
-                         std::span<int> out) const {
-    estimated.fetch_add(states.size(), std::memory_order_relaxed);
-    for (size_t i = 0; i < states.size(); ++i) {
-      out[i] = EstimateCost(*states[i]);
-    }
+  int EstimateCost(const State& s) const {
+    estimated.fetch_add(1, std::memory_order_relaxed);
+    return NumberLineProblem::EstimateCost(s);
   }
 };
 
@@ -348,10 +343,10 @@ TEST(ParallelBeamTest, BitIdenticalToSequentialOnToyProblem) {
   ASSERT_TRUE(seq.found);
   ExpectIdenticalOutcomes(seq, par);
 
-  // With a batched heuristic, Phase A estimates every successor while the
-  // inline path estimates only those that survive dedup: same outcome.
-  BatchNumberLineProblem inline_p;
-  BatchNumberLineProblem pooled_p;
+  // Phase A estimates every successor while the inline path estimates
+  // only those that survive dedup: same outcome.
+  CountingNumberLineProblem inline_p;
+  CountingNumberLineProblem pooled_p;
   inline_p.goal = pooled_p.goal = 40;
   auto inline_out = ParallelBeamSearch(inline_p, 4, nullptr, limits);
   auto pooled_out = ParallelBeamSearch(pooled_p, 4, &pool, limits);

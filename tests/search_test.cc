@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <map>
 #include <optional>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -435,26 +434,13 @@ TEST(BeamTest, GoalAtRoot) {
   EXPECT_EQ(out.stats.solution_cost, 0);
 }
 
-// A number line whose heuristic calls are counted: `per_state` direct
-// EstimateCost calls, `batches` EstimateCostBatch calls, and `estimated`
-// states across both.
+// A number line that counts its EstimateCost calls.
 struct CountingNumberLineProblem : NumberLineProblem {
-  mutable uint64_t per_state = 0;
-  mutable uint64_t batches = 0;
   mutable uint64_t estimated = 0;
 
   int EstimateCost(const State& s) const {
-    ++per_state;
     ++estimated;
     return NumberLineProblem::EstimateCost(s);
-  }
-  void EstimateCostBatch(std::span<const State* const> states,
-                         std::span<int> out) const {
-    ++batches;
-    estimated += states.size();
-    for (size_t i = 0; i < states.size(); ++i) {
-      out[i] = NumberLineProblem::EstimateCost(*states[i]);
-    }
   }
 };
 
@@ -469,10 +455,8 @@ TEST(BeamTest, InlineBeamEstimatesOnlyDeduplicatedSuccessors) {
   const uint64_t duplicates = registry.CounterValue("search.duplicate_hits");
   // Both directions revisit the previous level, so dedup has work to do.
   ASSERT_GT(duplicates, 0u);
-  // The root is estimated directly; every expansion makes one batch call
-  // covering exactly the successors that survived dedup.
-  EXPECT_EQ(p.per_state, 1u);
-  EXPECT_EQ(p.batches, registry.CounterValue("search.expansions"));
+  // The root is estimated once, then exactly the successors that
+  // survived dedup, one call each.
   EXPECT_EQ(p.estimated, 1 + out.stats.states_generated - duplicates);
 }
 

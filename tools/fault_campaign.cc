@@ -19,9 +19,11 @@
 //   3  mixed: operator faults + kill at a checkpoint boundary + resume
 //      with faults cleared (invariants only; faults perturb the explored
 //      space, so equivalence with a clean baseline is not expected)
-//   4  memory pressure: a tiny max_memory_nodes bound; the hard bound
-//      stops rungs cleanly (StopReason::kMemory) — never a crash, never
-//      a Discover-level error
+//   4  memory pressure: a max_memory_nodes bound scaled to the pair,
+//      below most runs' unbounded peak; the hard bound stops rungs
+//      cleanly (StopReason::kMemory) — never a crash, never a
+//      Discover-level error. A campaign whose memory-pressure trials
+//      (three or more) never reach a memory stop is itself a violation
 //
 // Service-level families (the discovery service of serve/job_manager.h;
 // in-process JobManager trials — the full-process kill -9 variant runs
@@ -148,7 +150,8 @@ struct Campaign {
   uint64_t resumes = 0;
   uint64_t faults_injected = 0;
   uint64_t flight_dumps = 0;
-  uint64_t memory_stops = 0;  // rungs family 4 saw stop on kMemory
+  uint64_t memory_trials = 0;  // family 4 trials run
+  uint64_t memory_stops = 0;   // rungs family 4 saw stop on kMemory
 
   void Violation(uint64_t trial, const std::string& what) {
     ++violations;
@@ -408,11 +411,17 @@ int main(int argc, char** argv) {
       }
       std::remove(ckpt_path.c_str());
     } else if (family == 4) {
-      // Memory pressure: a tiny node bound. A clean memory stop (or a
-      // mapping found inside the bound) is acceptable; a crash or error
-      // status is not.
+      // Memory pressure: a node bound drawn from [n², 4n²) for an
+      // n-attribute pair. The memory proxy (search nodes plus cached
+      // Expand successors) peaks faster than n² grows — 12 at n=2, 55
+      // at n=4, 333 at n=8 under IDA* and RBFS, more under the other
+      // algorithms — so most trials trip at every size. A clean memory
+      // stop (or a mapping found inside the bound) is acceptable; a
+      // crash or error status is not.
+      ++campaign.memory_trials;
+      const uint64_t n = sizes[which];
       TupeloOptions bounded = base;
-      bounded.limits.max_memory_nodes = 24 + rng.Below(64);
+      bounded.limits.max_memory_nodes = n * n + rng.Below(3 * n * n);
       final_run = RunOnce(pair, bounded);
       if (!final_run.ok) {
         campaign.Violation(t, "memory trial error: " + final_run.error);
@@ -618,6 +627,14 @@ int main(int argc, char** argv) {
   SetFaultInjector(nullptr);
 
   if (list_only) return 0;
+
+  // A memory-pressure family that never reaches its bound checks nothing.
+  if (campaign.memory_trials >= 3 && campaign.memory_stops == 0) {
+    ++campaign.violations;
+    std::fprintf(stderr,
+                 "VIOLATION: %llu memory-pressure trials, no memory stop\n",
+                 static_cast<unsigned long long>(campaign.memory_trials));
+  }
 
   std::printf(
       "fault campaign: %llu trials, %llu kills, %llu resumes, "
