@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
       if (report.enabled()) {
         RunResult r;
         r.found = outcome.found;
-        r.cutoff = outcome.budget_exhausted;
+        r.cutoff = IsResourceStop(outcome.stop);
         r.states = outcome.stats.states_examined;
         r.states_generated = outcome.stats.states_generated;
         r.iterations = outcome.stats.iterations;

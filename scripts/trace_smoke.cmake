@@ -1,8 +1,10 @@
 # Smoke test for the structured tracing pipeline: run one figure harness
-# with --quick --trace= (plus --json= so the report carries the schema-6
-# trace fields), then validate the trace export against the trace-event
-# checker, the report against the bench schema checker, and finally feed
-# the trace through trace_report.
+# with --quick --trace= --flight-recorder (plus --json= so the report
+# carries the schema-6 trace fields). Its --budget=20000 runs trip the
+# state budget, so the flight recorder dumps to ${OUT_TRACE}.flight. Both
+# the trace export and the dump are validated against the trace-event
+# checker and fed through trace_report; the report is validated against
+# the bench schema checker.
 #
 # Expected -D variables:
 #   HARNESS         - path to the fig5_synthetic_ida binary
@@ -20,9 +22,13 @@ foreach(var HARNESS REPORT_TOOL TRACE_VALIDATOR BENCH_VALIDATOR PYTHON
   endif()
 endforeach()
 
+# A dump left by an earlier run must not stand in for this run's.
+set(OUT_FLIGHT "${OUT_TRACE}.flight")
+file(REMOVE "${OUT_FLIGHT}")
+
 execute_process(
   COMMAND "${HARNESS}" --quick --budget=20000
-          "--trace=${OUT_TRACE}" "--json=${OUT_JSON}"
+          "--trace=${OUT_TRACE}" --flight-recorder "--json=${OUT_JSON}"
   RESULT_VARIABLE harness_rc
   OUTPUT_VARIABLE harness_out
   ERROR_VARIABLE harness_err
@@ -32,23 +38,38 @@ if(NOT harness_rc EQUAL 0)
           "trace_smoke: harness failed (${harness_rc}):\n${harness_err}")
 endif()
 
-foreach(out OUT_TRACE OUT_JSON)
+foreach(out OUT_TRACE OUT_FLIGHT OUT_JSON)
   if(NOT EXISTS "${${out}}")
     message(FATAL_ERROR "trace_smoke: harness did not write ${${out}}")
   endif()
 endforeach()
 
-execute_process(
-  COMMAND "${PYTHON}" "${TRACE_VALIDATOR}" "${OUT_TRACE}"
-  RESULT_VARIABLE trace_rc
-  OUTPUT_VARIABLE trace_out
-  ERROR_VARIABLE trace_err
-)
-if(NOT trace_rc EQUAL 0)
-  message(FATAL_ERROR
-          "trace_smoke: trace failed validation:\n${trace_err}")
-endif()
-message(STATUS "trace_smoke: ${trace_out}")
+foreach(trace "${OUT_TRACE}" "${OUT_FLIGHT}")
+  execute_process(
+    COMMAND "${PYTHON}" "${TRACE_VALIDATOR}" "${trace}"
+    RESULT_VARIABLE trace_rc
+    OUTPUT_VARIABLE trace_out
+    ERROR_VARIABLE trace_err
+  )
+  if(NOT trace_rc EQUAL 0)
+    message(FATAL_ERROR
+            "trace_smoke: ${trace} failed validation:\n${trace_err}")
+  endif()
+  message(STATUS "trace_smoke: ${trace_out}")
+
+  execute_process(
+    COMMAND "${REPORT_TOOL}" "${trace}"
+    RESULT_VARIABLE report_rc
+    OUTPUT_VARIABLE report_out
+    ERROR_VARIABLE report_err
+  )
+  if(NOT report_rc EQUAL 0)
+    message(FATAL_ERROR "trace_smoke: trace_report failed on ${trace} "
+                        "(${report_rc}):\n${report_err}")
+  endif()
+  string(REGEX MATCH "^[^\n]*" report_first_line "${report_out}")
+  message(STATUS "trace_smoke: ${report_first_line}")
+endforeach()
 
 execute_process(
   COMMAND "${PYTHON}" "${BENCH_VALIDATOR}" "${OUT_JSON}"
@@ -61,16 +82,3 @@ if(NOT bench_rc EQUAL 0)
           "trace_smoke: report failed validation:\n${bench_err}")
 endif()
 message(STATUS "trace_smoke: ${bench_out}")
-
-execute_process(
-  COMMAND "${REPORT_TOOL}" "${OUT_TRACE}"
-  RESULT_VARIABLE report_rc
-  OUTPUT_VARIABLE report_out
-  ERROR_VARIABLE report_err
-)
-if(NOT report_rc EQUAL 0)
-  message(FATAL_ERROR
-          "trace_smoke: trace_report failed (${report_rc}):\n${report_err}")
-endif()
-string(REGEX MATCH "^[^\n]*" report_first_line "${report_out}")
-message(STATUS "trace_smoke: ${report_first_line}")

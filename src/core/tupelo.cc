@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
@@ -112,10 +111,7 @@ class FileCheckpointSink : public CheckpointSink<Database, Op> {
     algorithm_ = std::string(SearchAlgorithmName(algorithm));
     states_budget_left_ = states_budget_left;
     next_due_ = interval_;
-    if (!resumed_rung) {
-      SearchSeed<Database, Op> empty;
-      WriteSnapshot(empty);
-    }
+    if (!resumed_rung) WriteSnapshot(SearchSeed<Database, Op>());
   }
 
   bool WantSnapshot(uint64_t states_examined) override {
@@ -123,14 +119,14 @@ class FileCheckpointSink : public CheckpointSink<Database, Op> {
   }
 
   void OnSnapshot(SearchSeed<Database, Op> seed) override {
-    WriteSnapshot(seed);
     next_due_ = seed.states_examined + interval_;
+    WriteSnapshot(std::move(seed));
   }
 
   uint64_t writes() const { return writes_; }
 
  private:
-  void WriteSnapshot(const SearchSeed<Database, Op>& seed) {
+  void WriteSnapshot(SearchSeed<Database, Op> seed) {
     obs::TraceSpan span(trace_, obs::TraceCategory::kCheckpoint,
                         "checkpoint.write", "rung",
                         static_cast<int64_t>(rung_index_));
@@ -149,21 +145,7 @@ class FileCheckpointSink : public CheckpointSink<Database, Op> {
           deadline_total_ - static_cast<int64_t>(MillisSince(search_start_));
       cp.deadline_left_millis = left > 0 ? left : 0;
     }
-    cp.states_examined = seed.states_examined;
-    cp.best_path = seed.best_path;
-    cp.best_h = seed.best_h;
-    cp.ida_bound = seed.ida_bound;
-    cp.beam_depth = seed.beam_depth;
-    cp.frontier.reserve(seed.frontier.size());
-    for (const auto& node : seed.frontier) {
-      cp.frontier.push_back({node.state, node.path, node.h});
-    }
-    cp.open.reserve(seed.open.size());
-    for (const auto& node : seed.open) {
-      cp.open.push_back({node.path, node.key, node.seq});
-    }
-    cp.next_seq = seed.next_seq;
-    cp.closed = seed.closed;
+    cp.seed = std::move(seed);
 
     std::string text = WriteCheckpoint(cp);
     // A failed write is deliberately non-fatal: checkpointing must never
@@ -187,9 +169,9 @@ class FileCheckpointSink : public CheckpointSink<Database, Op> {
       if (on_progress_ != nullptr && *on_progress_) {
         DiscoverProgress progress;
         progress.rung_index = rung_index_;
-        progress.states_examined = seed.states_examined;
-        progress.best_path = &seed.best_path;
-        progress.best_h = seed.best_h;
+        progress.states_examined = cp.seed.states_examined;
+        progress.best_path = &cp.seed.best_path;
+        progress.best_h = cp.seed.best_h;
         (*on_progress_)(progress);
       }
       if (kill_after_ > 0 && writes_ >= kill_after_ &&
@@ -233,16 +215,6 @@ class FileCheckpointSink : public CheckpointSink<Database, Op> {
 
 std::vector<DegradationRung> DefaultLadder() {
   return {{SearchAlgorithm::kIda, 0.6}, {SearchAlgorithm::kBeam, 1.0}};
-}
-
-std::string RunReport::ToString() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "search=%.2fms (successors=%.2fms) verify=%.2fms "
-                "simplify=%.2fms",
-                search_millis, successor_millis, verify_millis,
-                simplify_millis);
-  return buf;
 }
 
 Result<TupeloResult> Tupelo::Discover(const TupeloOptions& options) const {
@@ -335,7 +307,7 @@ Result<TupeloResult> Tupelo::Discover(const TupeloOptions& options) const {
     } else if (!loaded.ok()) {
       return loaded.status();
     } else {
-      const DiscoveryCheckpoint& cp = *loaded;
+      DiscoveryCheckpoint& cp = *loaded;
       if (!(cp.source_fp == source_.Fingerprint128()) ||
           !(cp.target_fp == target_.Fingerprint128())) {
         return Status::FailedPrecondition(
@@ -352,28 +324,15 @@ Result<TupeloResult> Tupelo::Discover(const TupeloOptions& options) const {
       states_left =
           cp.states_left > 0 ? static_cast<uint64_t>(cp.states_left) : 0;
       if (deadline_total > 0) deadline_total = cp.deadline_left_millis;
-      best_partial = cp.best_path;
-      best_partial_h = cp.best_h;
-      resume_seed.states_examined = cp.states_examined;
-      resume_seed.best_path = cp.best_path;
-      resume_seed.best_h = cp.best_h;
-      resume_seed.ida_bound = cp.ida_bound;
-      resume_seed.beam_depth = cp.beam_depth;
-      resume_seed.frontier.reserve(cp.frontier.size());
-      for (const CheckpointFrontierEntry& e : cp.frontier) {
-        resume_seed.frontier.push_back({e.state, e.path, e.h});
-      }
-      resume_seed.open.reserve(cp.open.size());
-      for (const CheckpointOpenEntry& e : cp.open) {
+      best_partial = cp.seed.best_path;
+      best_partial_h = cp.seed.best_h;
+      resume_seed = std::move(cp.seed);
+      for (auto& node : resume_seed.open) {
         // Open-list states are not stored; replay them from their action
         // paths (operators are deterministic).
         TUPELO_ASSIGN_OR_RETURN(
-            Database state,
-            MappingExpression(e.path).Apply(source_, registry_));
-        resume_seed.open.push_back({std::move(state), e.path, e.key, e.seq});
+            node.state, MappingExpression(node.path).Apply(source_, registry_));
       }
-      resume_seed.next_seq = cp.next_seq;
-      resume_seed.closed = cp.closed;
       have_resume_seed = true;
       result.resumed = true;
       result.resume_rungs_skipped = static_cast<int>(first_rung);
@@ -526,7 +485,9 @@ Result<TupeloResult> Tupelo::Discover(const TupeloOptions& options) const {
       break;
     }
   }
-  result.report.search_millis = MillisSince(search_start);
+  const double search_millis = MillisSince(search_start);
+  double simplify_millis = 0.0;
+  double verify_millis = 0.0;
   if (sink != nullptr) result.checkpoint_writes = sink->writes();
 
   result.budget_exhausted = IsResourceStop(result.stop_reason);
@@ -540,7 +501,7 @@ Result<TupeloResult> Tupelo::Discover(const TupeloOptions& options) const {
       obs::TraceSpan simplify_span(trace, obs::TraceCategory::kDriver,
                                    "simplify");
       result.mapping = Simplify(result.mapping);
-      result.report.simplify_millis = MillisSince(simplify_start);
+      simplify_millis = MillisSince(simplify_start);
     }
     Clock::time_point verify_start = Clock::now();
     obs::TraceSpan verify_span(trace, obs::TraceCategory::kVerify, "verify");
@@ -556,24 +517,18 @@ Result<TupeloResult> Tupelo::Discover(const TupeloOptions& options) const {
       result.verified = true;
     }
     verify_span.SetEndArg("ok", result.verified ? 1 : 0);
-    result.report.verify_millis = MillisSince(verify_start);
+    verify_millis = MillisSince(verify_start);
   }
 
   if (options.metrics != nullptr) {
-    // Successor time accumulated in phase.successors.nanos during search.
-    result.report.successor_millis =
-        static_cast<double>(
-            options.metrics->CounterValue("phase.successors.nanos")) /
-        1e6;
     // Mirror the driver-level phase timers into the registry so exported
     // reports carry the full breakdown.
     options.metrics->GetCounter("phase.search.nanos")
-        .Increment(static_cast<uint64_t>(result.report.search_millis * 1e6));
+        .Increment(static_cast<uint64_t>(search_millis * 1e6));
     options.metrics->GetCounter("phase.verify.nanos")
-        .Increment(static_cast<uint64_t>(result.report.verify_millis * 1e6));
+        .Increment(static_cast<uint64_t>(verify_millis * 1e6));
     options.metrics->GetCounter("phase.simplify.nanos")
-        .Increment(
-            static_cast<uint64_t>(result.report.simplify_millis * 1e6));
+        .Increment(static_cast<uint64_t>(simplify_millis * 1e6));
   }
 
   if (trace != nullptr) {
@@ -582,15 +537,16 @@ Result<TupeloResult> Tupelo::Discover(const TupeloOptions& options) const {
                    static_cast<int64_t>(result.rungs.size()));
     // Flight recorder: when the run ended badly — a resource/cancel stop
     // (including the checkpoint-kill seam), a mapping that failed
-    // verification, or a traced fault-injection fire — dump the retained
-    // last events so a post-mortem can see what the run was doing.
+    // verification, or a traced fault-injection fire — write the retained
+    // last events as a Chrome trace so a post-mortem can see what the run
+    // was doing.
     if (!options.flight_recorder_path.empty()) {
       const bool bad_stop =
           !result.found && result.stop_reason != StopReason::kExhausted;
       const bool unverified = result.found && !result.verified;
       const bool faulted = trace->fault_count() > trace_faults_before;
       if (bad_stop || unverified || faulted) {
-        trace->DumpFlightRecord(options.flight_recorder_path);
+        trace->WriteChromeJson(options.flight_recorder_path);
       }
     }
     if (metrics != nullptr) {

@@ -122,24 +122,10 @@ struct TupeloOptions {
   // Flight recorder (requires `trace`): when non-empty and the run ends
   // badly — a resource/cancel stop (including the checkpoint-kill seam),
   // a found-but-unverified mapping, or any traced fault-injection fire —
-  // the session's retained last events are dumped here in the binary
-  // flight-record format (obs/trace.h), capturing what the run was doing
-  // when it died. tools/trace_report reads the dump.
+  // the session's retained last events are written here as Chrome
+  // trace-event JSON (TraceSession::WriteChromeJson), capturing what the
+  // run was doing when it died. tools/trace_report reads the dump.
   std::string flight_recorder_path;
-};
-
-// Wall-clock breakdown of one Discover call, always populated (phase
-// timing does not require a metric registry). Phases overlap: successor
-// generation and heuristic evaluation happen inside the search phase.
-struct RunReport {
-  double search_millis = 0.0;     // the search-algorithm call itself
-  double successor_millis = 0.0;  // Expand time inside search (needs
-                                  // options.metrics; 0 otherwise)
-  double verify_millis = 0.0;     // replaying the mapping on the source
-  double simplify_millis = 0.0;   // peephole optimizer (0 unless enabled)
-
-  // One-line human-readable summary.
-  std::string ToString() const;
 };
 
 // One attempted rung of a Discover call (a single rung for plain runs,
@@ -159,7 +145,8 @@ struct TupeloResult {
   // stop reason (kExhausted is conclusive, everything else means the
   // resource governor cut the run short).
   StopReason stop_reason = StopReason::kExhausted;
-  // Compatibility mirror of IsResourceStop(stop_reason).
+  // Mirror of IsResourceStop(stop_reason), kept because perfbench's
+  // search harness reads it.
   bool budget_exhausted = false;
   // The discovered executable mapping expression (empty unless found).
   MappingExpression mapping;
@@ -181,8 +168,6 @@ struct TupeloResult {
   SearchStats stats;
   // Per-rung attempts, in execution order.
   std::vector<RungAttempt> rungs;
-  // Phase timing for this run (see RunReport).
-  RunReport report;
   // Checkpoint/resume bookkeeping: whether this run restarted from a
   // checkpoint, how many ladder rungs the resume skipped, and how many
   // checkpoint files the run wrote.

@@ -1,8 +1,8 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
 
 namespace tupelo::obs {
 
@@ -252,131 +252,6 @@ bool TraceSession::WriteChromeJson(const std::string& path) const {
   return ok;
 }
 
-// Flight-record binary layout (all integers little-endian, as written by
-// memcpy on the only platforms we target):
-//   u32 magic "TFR1"          u32 version (1)
-//   u32 thread_count          u32 string_count
-//   string_count × { u32 len, bytes }       (event/arg-key/category names)
-//   u64 event_count
-//   event_count × { u64 ts_ns, u32 tid, u32 name_idx, u32 cat_idx,
-//                   u8 phase ('B'/'E'/'i'), u8 nargs,
-//                   nargs × { u32 key_idx, i64 value } }
-namespace {
-
-constexpr uint32_t kFlightRecordMagic = 0x31524654;  // "TFR1"
-constexpr uint32_t kFlightRecordVersion = 1;
-
-void PutU32(std::string& out, uint32_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutU64(std::string& out, uint64_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutI64(std::string& out, int64_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
-  bool U32(uint32_t* v) { return Copy(v, sizeof(*v)); }
-  bool U64(uint64_t* v) { return Copy(v, sizeof(*v)); }
-  bool I64(int64_t* v) { return Copy(v, sizeof(*v)); }
-  bool U8(uint8_t* v) { return Copy(v, sizeof(*v)); }
-  bool Bytes(std::string* out, size_t n) {
-    if (bytes_.size() - pos_ < n) return false;
-    out->assign(bytes_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  size_t remaining() const { return bytes_.size() - pos_; }
-
- private:
-  bool Copy(void* v, size_t n) {
-    if (bytes_.size() - pos_ < n) return false;
-    std::memcpy(v, bytes_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  std::string_view bytes_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
-std::string TraceSession::SerializeFlightRecord() const {
-  std::vector<TraceExportEvent> events = Collect();
-  std::vector<std::string> strings;
-  std::map<std::string, uint32_t> index;
-  auto intern = [&](const std::string& s) {
-    auto [it, inserted] =
-        index.try_emplace(s, static_cast<uint32_t>(strings.size()));
-    if (inserted) strings.push_back(s);
-    return it->second;
-  };
-  // Intern everything first so the table precedes the events.
-  struct Packed {
-    uint64_t ts_ns;
-    uint32_t tid;
-    uint32_t name_idx;
-    uint32_t cat_idx;
-    uint8_t phase;
-    std::vector<std::pair<uint32_t, int64_t>> args;
-  };
-  std::vector<Packed> packed;
-  packed.reserve(events.size());
-  for (const TraceExportEvent& e : events) {
-    Packed p;
-    p.ts_ns = e.ts_ns;
-    p.tid = e.tid;
-    p.name_idx = intern(e.name);
-    p.cat_idx = intern(std::string(TraceCategoryName(e.cat)));
-    p.phase = e.phase == TracePhase::kBegin  ? 'B'
-              : e.phase == TracePhase::kEnd ? 'E'
-                                            : 'i';
-    for (const auto& [key, value] : e.args) {
-      p.args.emplace_back(intern(key), value);
-    }
-    packed.push_back(std::move(p));
-  }
-  std::string out;
-  PutU32(out, kFlightRecordMagic);
-  PutU32(out, kFlightRecordVersion);
-  PutU32(out, static_cast<uint32_t>(thread_count()));
-  PutU32(out, static_cast<uint32_t>(strings.size()));
-  for (const std::string& s : strings) {
-    PutU32(out, static_cast<uint32_t>(s.size()));
-    out.append(s);
-  }
-  PutU64(out, events.size());
-  for (const Packed& p : packed) {
-    PutU64(out, p.ts_ns);
-    PutU32(out, p.tid);
-    PutU32(out, p.name_idx);
-    PutU32(out, p.cat_idx);
-    out.push_back(static_cast<char>(p.phase));
-    out.push_back(static_cast<char>(p.args.size()));
-    for (const auto& [key_idx, value] : p.args) {
-      PutU32(out, key_idx);
-      PutI64(out, value);
-    }
-  }
-  return out;
-}
-
-bool TraceSession::DumpFlightRecord(const std::string& path) const {
-  std::string bytes = SerializeFlightRecord();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "trace: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  bool ok = written == bytes.size() && std::fclose(f) == 0;
-  if (!ok) std::fprintf(stderr, "trace: short write to %s\n", path.c_str());
-  return ok;
-}
-
 namespace {
 
 TraceCategory CategoryFromName(std::string_view name) {
@@ -392,98 +267,74 @@ TraceCategory CategoryFromName(std::string_view name) {
 
 }  // namespace
 
-Result<FlightRecord> ParseFlightRecord(std::string_view bytes) {
-  ByteReader reader(bytes);
-  uint32_t magic = 0, version = 0, threads = 0, string_count = 0;
-  if (!reader.U32(&magic) || magic != kFlightRecordMagic) {
-    return Status::ParseError("flight record: bad magic");
+Result<std::vector<TraceExportEvent>> ParseChromeTrace(std::string_view text) {
+  Result<JsonValue> doc = JsonValue::Parse(text);
+  if (!doc.ok()) return doc.status();
+  const JsonValue* events = doc->Find("traceEvents");
+  if (events == nullptr || !events->is_array()) {
+    return Status::InvalidArgument("trace: no traceEvents array");
   }
-  if (!reader.U32(&version) || version != kFlightRecordVersion) {
-    return Status::ParseError("flight record: unsupported version");
-  }
-  if (!reader.U32(&threads) || !reader.U32(&string_count)) {
-    return Status::ParseError("flight record: truncated header");
-  }
-  std::vector<std::string> strings;
-  strings.reserve(string_count);
-  for (uint32_t i = 0; i < string_count; ++i) {
-    uint32_t len = 0;
-    std::string s;
-    if (!reader.U32(&len) || len > reader.remaining() ||
-        !reader.Bytes(&s, len)) {
-      return Status::ParseError("flight record: truncated string table");
-    }
-    strings.push_back(std::move(s));
-  }
-  auto string_at = [&](uint32_t idx) -> const std::string* {
-    return idx < strings.size() ? &strings[idx] : nullptr;
+  // tid and arg values must be JSON integers: converting an out-of-range
+  // double to an integer is undefined behaviour.
+  auto is_integer = [](const JsonValue* v) {
+    return v != nullptr && (v->kind() == JsonValue::Kind::kInt ||
+                            v->kind() == JsonValue::Kind::kUint);
   };
-  uint64_t event_count = 0;
-  if (!reader.U64(&event_count)) {
-    return Status::ParseError("flight record: truncated event count");
-  }
-  FlightRecord record;
-  record.thread_count = threads;
-  record.events.reserve(std::min<uint64_t>(event_count, 1u << 20));
-  for (uint64_t i = 0; i < event_count; ++i) {
-    TraceExportEvent e;
-    uint32_t name_idx = 0, cat_idx = 0;
-    uint8_t phase = 0, nargs = 0;
-    if (!reader.U64(&e.ts_ns) || !reader.U32(&e.tid) ||
-        !reader.U32(&name_idx) || !reader.U32(&cat_idx) ||
-        !reader.U8(&phase) || !reader.U8(&nargs)) {
-      return Status::ParseError("flight record: truncated event");
+  std::vector<TraceExportEvent> out;
+  out.reserve(events->elements().size());
+  for (const JsonValue& e : events->elements()) {
+    const JsonValue* ph = e.Find("ph");
+    const JsonValue* ts = e.Find("ts");
+    const JsonValue* tid = e.Find("tid");
+    const JsonValue* name = e.Find("name");
+    if (ph == nullptr || ts == nullptr || !ts->is_number() ||
+        !is_integer(tid) || name == nullptr) {
+      continue;
     }
-    const std::string* name = string_at(name_idx);
-    const std::string* cat = string_at(cat_idx);
-    if (name == nullptr || cat == nullptr) {
-      return Status::ParseError("flight record: string index out of range");
+    const std::string& phase = ph->as_string();
+    TraceExportEvent ev;
+    if (phase == "B") {
+      ev.phase = TracePhase::kBegin;
+    } else if (phase == "E") {
+      ev.phase = TracePhase::kEnd;
+    } else if (phase == "i" || phase == "I") {
+      ev.phase = TracePhase::kInstant;
+    } else {
+      continue;  // metadata, counters, complete events from other tools
     }
-    e.name = *name;
-    e.cat = CategoryFromName(*cat);
-    switch (phase) {
-      case 'B':
-        e.phase = TracePhase::kBegin;
-        break;
-      case 'E':
-        e.phase = TracePhase::kEnd;
-        break;
-      case 'i':
-        e.phase = TracePhase::kInstant;
-        break;
-      default:
-        return Status::ParseError("flight record: unknown event phase");
+    // ts is in microseconds with the nanoseconds in the fraction; rounding
+    // (not truncation) recovers the exact nanosecond the session recorded.
+    ev.ts_ns = static_cast<uint64_t>(std::llround(ts->as_double() * 1000.0));
+    ev.tid = static_cast<uint32_t>(tid->as_int());
+    ev.name = name->as_string();
+    if (const JsonValue* cat = e.Find("cat"); cat != nullptr) {
+      ev.cat = CategoryFromName(cat->as_string());
     }
-    for (uint8_t a = 0; a < nargs; ++a) {
-      uint32_t key_idx = 0;
-      int64_t value = 0;
-      if (!reader.U32(&key_idx) || !reader.I64(&value)) {
-        return Status::ParseError("flight record: truncated event args");
+    if (const JsonValue* args = e.Find("args");
+        args != nullptr && args->is_object()) {
+      for (const auto& [key, value] : args->members()) {
+        if (is_integer(&value)) ev.args.emplace_back(key, value.as_int());
       }
-      const std::string* key = string_at(key_idx);
-      if (key == nullptr) {
-        return Status::ParseError("flight record: string index out of range");
-      }
-      e.args.emplace_back(*key, value);
     }
-    record.events.push_back(std::move(e));
+    out.push_back(std::move(ev));
   }
-  return record;
+  return out;
 }
 
-Result<FlightRecord> LoadFlightRecord(const std::string& path) {
+Result<std::vector<TraceExportEvent>> LoadChromeTrace(
+    const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound("flight record: cannot open " + path);
-  }
-  std::string bytes;
+  if (f == nullptr) return Status::NotFound("trace: cannot open " + path);
+  std::string text;
   char chunk[65536];
   size_t n = 0;
   while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    bytes.append(chunk, n);
+    text.append(chunk, n);
   }
+  const bool read_error = std::ferror(f) != 0;
   std::fclose(f);
-  return ParseFlightRecord(bytes);
+  if (read_error) return Status::Internal("trace: read error on " + path);
+  return ParseChromeTrace(text);
 }
 
 }  // namespace tupelo::obs

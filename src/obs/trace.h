@@ -43,17 +43,14 @@ namespace tupelo::obs {
 // MetricRegistry*): resolve once, guard each emit with a null check, and
 // a disabled run pays one predictable branch per event.
 //
-// Exports:
-//  - ToChromeJson()/WriteChromeJson(): Chrome trace-event JSON ("JSON
-//    Object Format" with a traceEvents list) loadable in Perfetto and
-//    chrome://tracing. B/E pairs are reconciled per thread before export
-//    (ring overwrite can orphan an E whose B was evicted; orphans are
-//    discarded, still-open spans are closed at the last timestamp), so
-//    the exported stream always has matched pairs.
-//  - SerializeFlightRecord()/DumpFlightRecord(): a compact binary form of
-//    the same reconciled event list (magic "TFR1"), written by the
-//    flight-recorder trigger paths and parsed back by ParseFlightRecord
-//    for tools/trace_report and the fault-campaign dump self-check.
+// Export: ToChromeJson()/WriteChromeJson() write Chrome trace-event JSON
+// ("JSON Object Format" with a traceEvents list) loadable in Perfetto and
+// chrome://tracing. B/E pairs are reconciled per thread before export
+// (ring overwrite can orphan an E whose B was evicted; orphans are
+// discarded, still-open spans are closed at the last timestamp), so the
+// exported stream always has matched pairs. The flight recorder writes
+// the same format, and ParseChromeTrace/LoadChromeTrace read it back for
+// tools/trace_report and the fault-campaign dump self-check.
 
 enum class TraceCategory : uint8_t {
   kSearch,      // algorithm iterations/levels, state visits, goals
@@ -75,8 +72,8 @@ enum class TracePhase : uint8_t {
   kInstant,  // Chrome "i"
 };
 
-// One event as read back out of a session (or parsed from a flight
-// record): strings materialized, args expanded. The in-ring record is a
+// One event as read back out of a session (or parsed from a Chrome
+// trace): strings materialized, args expanded. The in-ring record is a
 // private fixed-size POD; this is the export/analysis form.
 struct TraceExportEvent {
   uint64_t ts_ns = 0;  // nanoseconds since session start
@@ -142,11 +139,6 @@ class TraceSession {
   // Writes ToChromeJson() to `path`; false (with a stderr note) on I/O
   // failure.
   bool WriteChromeJson(const std::string& path) const;
-
-  // Compact binary flight record of Collect() (format: trace.cc,
-  // kFlightRecordMagic). DumpFlightRecord writes it to `path`.
-  std::string SerializeFlightRecord() const;
-  bool DumpFlightRecord(const std::string& path) const;
 
  private:
   struct Record {
@@ -250,13 +242,15 @@ class PoolTaskTracer final : public TaskTraceHook {
   TraceSession* session_;
 };
 
-// Binary flight-record parsing (the format SerializeFlightRecord emits).
-struct FlightRecord {
-  std::vector<TraceExportEvent> events;
-  uint32_t thread_count = 0;
-};
-Result<FlightRecord> ParseFlightRecord(std::string_view bytes);
-Result<FlightRecord> LoadFlightRecord(const std::string& path);
+// Rebuilds export events from Chrome trace-event JSON (ts in
+// microseconds). Metadata rows, foreign phases and events without a
+// numeric ts or an integer tid are skipped, as are non-integer args. A
+// WriteChromeJson file round-trips exactly to its Collect() events.
+// Errors: ParseError for malformed JSON, InvalidArgument for JSON with no
+// traceEvents array; LoadChromeTrace adds NotFound for an unopenable file
+// and Internal for a read error.
+Result<std::vector<TraceExportEvent>> ParseChromeTrace(std::string_view text);
+Result<std::vector<TraceExportEvent>> LoadChromeTrace(const std::string& path);
 
 }  // namespace tupelo::obs
 

@@ -75,12 +75,11 @@ struct SearchContext {
         guard.Check(out.stats.states_examined, depth, memory_nodes);
     if (!stop) return false;
     out.stop = *stop;
-    out.budget_exhausted = IsResourceStop(*stop);
     return true;
   }
 
   // True once OverBudget has tripped: the search must unwind.
-  bool Stopped() const { return out.budget_exhausted; }
+  bool Stopped() const { return IsResourceStop(out.stop); }
 
   // The algorithm's own retained states plus the problem's caches.
   uint64_t MemoryNodes(uint64_t own) const {

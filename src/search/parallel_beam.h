@@ -247,7 +247,6 @@ SearchOutcome<typename P::Action> ParallelBeamSearch(
     frontier = std::move(next_level);
   }
   ctx.out.stop = StopReason::kDepth;  // level loop ran out of depth budget
-  ctx.out.budget_exhausted = true;
   return ctx.Finish();
 }
 

@@ -355,12 +355,9 @@ template <typename Action>
 struct SearchOutcome {
   bool found = false;
   // Why the search returned. kExhausted until something else happens, so
-  // an empty-space search reports conclusively.
+  // an empty-space search reports conclusively; IsResourceStop(stop) means
+  // a SearchLimits bound or cancellation tripped (failure is inconclusive).
   StopReason stop = StopReason::kExhausted;
-  // Compatibility mirror of IsResourceStop(stop): the search stopped
-  // because a SearchLimits bound (or cancellation) tripped, i.e. failure
-  // is inconclusive.
-  bool budget_exhausted = false;
   std::vector<Action> path;
   // Anytime result: the path to the lowest-h state examined so far (the
   // goal path when found) and its remaining heuristic distance. best_h is

@@ -56,22 +56,22 @@ DiscoveryCheckpoint FullCheckpoint() {
   cp.ladder_size = 3;
   cp.states_left = 4200;
   cp.deadline_left_millis = 1500;
-  cp.states_examined = 77;
-  cp.best_path = {RenameAttrOp{"R", "A", "B"}};
-  cp.best_h = 2;
-  cp.ida_bound = 9;
-  cp.beam_depth = 4;
-  cp.frontier.push_back(
+  cp.seed.states_examined = 77;
+  cp.seed.best_path = {RenameAttrOp{"R", "A", "B"}};
+  cp.seed.best_h = 2;
+  cp.seed.ida_bound = 9;
+  cp.seed.beam_depth = 4;
+  cp.seed.frontier.push_back(
       {Tdb("relation R (A) { (1) }"), {RenameAttrOp{"R", "A", "C"}}, 3});
-  cp.frontier.push_back(
+  cp.seed.frontier.push_back(
       {Tdb("relation S (X, Y) { (a, b) }"),
        {RenameRelOp{"R", "S"}, RenameAttrOp{"S", "X", "Z"}},
        5});
-  cp.open.push_back({{RenameAttrOp{"R", "A", "D"}}, 7, 11});
-  cp.open.push_back({{}, 0, 12});  // root entry: empty path
-  cp.next_seq = 13;
-  cp.closed.push_back({Fp128{1, 2}, 0});
-  cp.closed.push_back({Fp128{3, 4}, 6});
+  cp.seed.open.push_back({Database(), {RenameAttrOp{"R", "A", "D"}}, 7, 11});
+  cp.seed.open.push_back({Database(), {}, 0, 12});  // root entry: empty path
+  cp.seed.next_seq = 13;
+  cp.seed.closed.push_back({Fp128{1, 2}, 0});
+  cp.seed.closed.push_back({Fp128{3, 4}, 6});
   return cp;
 }
 
@@ -92,29 +92,81 @@ TEST(CheckpointFormatTest, RoundTripsEveryField) {
   EXPECT_EQ(back->ladder_size, 3);
   EXPECT_EQ(back->states_left, 4200);
   EXPECT_EQ(back->deadline_left_millis, 1500);
-  EXPECT_EQ(back->states_examined, 77u);
-  EXPECT_EQ(Script(back->best_path), Script(cp.best_path));
-  EXPECT_EQ(back->best_h, 2);
-  EXPECT_EQ(back->ida_bound, 9);
-  EXPECT_EQ(back->beam_depth, 4);
+  EXPECT_EQ(back->seed.states_examined, 77u);
+  EXPECT_EQ(Script(back->seed.best_path), Script(cp.seed.best_path));
+  EXPECT_EQ(back->seed.best_h, 2);
+  EXPECT_EQ(back->seed.ida_bound, 9);
+  EXPECT_EQ(back->seed.beam_depth, 4);
 
-  ASSERT_EQ(back->frontier.size(), 2u);
+  ASSERT_EQ(back->seed.frontier.size(), 2u);
   for (size_t i = 0; i < 2; ++i) {
-    EXPECT_TRUE(back->frontier[i].state.Fingerprint128() ==
-                cp.frontier[i].state.Fingerprint128());
-    EXPECT_EQ(Script(back->frontier[i].path), Script(cp.frontier[i].path));
-    EXPECT_EQ(back->frontier[i].h, cp.frontier[i].h);
+    EXPECT_TRUE(back->seed.frontier[i].state.Fingerprint128() ==
+                cp.seed.frontier[i].state.Fingerprint128());
+    EXPECT_EQ(Script(back->seed.frontier[i].path),
+              Script(cp.seed.frontier[i].path));
+    EXPECT_EQ(back->seed.frontier[i].h, cp.seed.frontier[i].h);
   }
-  ASSERT_EQ(back->open.size(), 2u);
-  EXPECT_EQ(Script(back->open[0].path), Script(cp.open[0].path));
-  EXPECT_EQ(back->open[0].key, 7);
-  EXPECT_EQ(back->open[0].seq, 11u);
-  EXPECT_TRUE(back->open[1].path.empty());
-  EXPECT_EQ(back->open[1].seq, 12u);
-  EXPECT_EQ(back->next_seq, 13u);
-  ASSERT_EQ(back->closed.size(), 2u);
-  EXPECT_TRUE(back->closed[0].first == cp.closed[0].first);
-  EXPECT_EQ(back->closed[1].second, 6);
+  ASSERT_EQ(back->seed.open.size(), 2u);
+  EXPECT_EQ(Script(back->seed.open[0].path), Script(cp.seed.open[0].path));
+  EXPECT_EQ(back->seed.open[0].key, 7);
+  EXPECT_EQ(back->seed.open[0].seq, 11u);
+  EXPECT_TRUE(back->seed.open[1].path.empty());
+  EXPECT_EQ(back->seed.open[1].seq, 12u);
+  EXPECT_EQ(back->seed.next_seq, 13u);
+  ASSERT_EQ(back->seed.closed.size(), 2u);
+  EXPECT_TRUE(back->seed.closed[0].first == cp.seed.closed[0].first);
+  EXPECT_EQ(back->seed.closed[1].second, 6);
+}
+
+// Known answer: the exact .tck bytes FullCheckpoint() serializes to. Any
+// change to the on-disk format, or to the order or spelling of its
+// fields, must fail here (and bump kCheckpointFormatVersion).
+TEST(CheckpointFormatTest, WriteMatchesKnownAnswer) {
+  const char* const kFullCheckpointText = R"tck(tupelo-checkpoint 1
+workload 0000000000001234:0000000000005678 0000000000009abc:000000000000def0
+algorithm astar
+rung 1 3
+states_left 4200
+deadline_left_millis 1500
+states_examined 77
+best_h 2
+ida_bound 9
+beam_depth 4
+next_seq 13
+begin best_path
+rename_att(R, A, B)
+end best_path
+frontier_h 3
+begin fpath
+rename_att(R, A, C)
+end fpath
+begin fstate
+relation R (A) {
+  (1)
+}
+end fstate
+frontier_h 5
+begin fpath
+rename_rel(R, S)
+rename_att(S, X, Z)
+end fpath
+begin fstate
+relation S (X, Y) {
+  (a, b)
+}
+end fstate
+open_entry 7 11
+begin opath
+rename_att(R, A, D)
+end opath
+open_entry 0 12
+begin opath
+end opath
+closed 0000000000000001:0000000000000002 0
+closed 0000000000000003:0000000000000004 6
+checksum 969ab5ee3881c6cd:7fde6fa47ad709fd
+)tck";
+  EXPECT_EQ(WriteCheckpoint(FullCheckpoint()), kFullCheckpointText);
 }
 
 TEST(CheckpointFormatTest, SaveAndLoadFile) {

@@ -310,7 +310,6 @@ template <typename Outcome>
 void ExpectIdenticalOutcomes(const Outcome& seq, const Outcome& par) {
   EXPECT_EQ(seq.found, par.found);
   EXPECT_EQ(seq.stop, par.stop);
-  EXPECT_EQ(seq.budget_exhausted, par.budget_exhausted);
   EXPECT_EQ(seq.path, par.path);
   EXPECT_EQ(seq.best_path, par.best_path);
   EXPECT_EQ(seq.best_h, par.best_h);

@@ -161,7 +161,7 @@ TEST_P(AllAlgorithms, UnreachableGoalExhaustsSpace) {
   p.goal = 9;
   auto out = RunSearch(GetParam(), p);
   EXPECT_FALSE(out.found);
-  EXPECT_FALSE(out.budget_exhausted);  // space exhausted, not budget
+  EXPECT_FALSE(IsResourceStop(out.stop));  // space exhausted, not budget
   EXPECT_EQ(out.stop, StopReason::kExhausted);
 }
 
@@ -184,7 +184,7 @@ TEST_P(AllAlgorithms, StateBudgetAborts) {
   limits.max_depth = 2000;
   auto out = RunSearch(GetParam(), p, limits);
   EXPECT_FALSE(out.found);
-  EXPECT_TRUE(out.budget_exhausted);
+  EXPECT_TRUE(IsResourceStop(out.stop));
   EXPECT_EQ(out.stop, StopReason::kStates);
   EXPECT_LE(out.stats.states_examined, 50u);
   // Anytime contract: the best partial path and its remaining heuristic
@@ -203,7 +203,7 @@ TEST_P(AllAlgorithms, DepthLimitAborts) {
   limits.max_depth = 10;
   auto out = RunSearch(GetParam(), p, limits);
   EXPECT_FALSE(out.found);
-  EXPECT_TRUE(out.budget_exhausted);
+  EXPECT_TRUE(IsResourceStop(out.stop));
   EXPECT_EQ(out.stop, StopReason::kDepth);
 }
 
@@ -423,7 +423,7 @@ TEST(BeamTest, BudgetAborts) {
   limits.max_depth = 2000;
   auto out = ParallelBeamSearch(p, 8, nullptr, limits);
   EXPECT_FALSE(out.found);
-  EXPECT_TRUE(out.budget_exhausted);
+  EXPECT_TRUE(IsResourceStop(out.stop));
 }
 
 TEST(BeamTest, GoalAtRoot) {
@@ -539,7 +539,7 @@ TEST_P(AllAlgorithms, FoundSetsStopAndAnytimeFields) {
   auto out = RunSearch(GetParam(), p);
   ASSERT_TRUE(out.found);
   EXPECT_EQ(out.stop, StopReason::kFound);
-  EXPECT_FALSE(out.budget_exhausted);
+  EXPECT_FALSE(IsResourceStop(out.stop));
   EXPECT_EQ(out.best_path, out.path);
   EXPECT_EQ(out.best_h, 0);
 }
@@ -557,7 +557,7 @@ TEST_P(AllAlgorithms, DeadlineAborts) {
       std::chrono::steady_clock::now() - start);
   EXPECT_FALSE(out.found);
   EXPECT_EQ(out.stop, StopReason::kDeadline);
-  EXPECT_TRUE(out.budget_exhausted);
+  EXPECT_TRUE(IsResourceStop(out.stop));
   // Generous CI-safe bound: orders of magnitude below the states backstop,
   // proving the wall clock (not a counter) stopped the search.
   EXPECT_LT(elapsed.count(), 3000);
@@ -572,7 +572,7 @@ TEST_P(AllAlgorithms, MemoryLimitAborts) {
   auto out = RunSearch(GetParam(), p, limits);
   EXPECT_FALSE(out.found);
   EXPECT_EQ(out.stop, StopReason::kMemory);
-  EXPECT_TRUE(out.budget_exhausted);
+  EXPECT_TRUE(IsResourceStop(out.stop));
   EXPECT_FALSE(out.best_path.empty());
   EXPECT_GT(out.best_h, 0);
 }
@@ -588,7 +588,7 @@ TEST_P(AllAlgorithms, PreCancelledTokenTripsBeforeAnyVisit) {
   auto out = RunSearch(GetParam(), p, limits);
   EXPECT_FALSE(out.found);
   EXPECT_EQ(out.stop, StopReason::kCancelled);
-  EXPECT_TRUE(out.budget_exhausted);
+  EXPECT_TRUE(IsResourceStop(out.stop));
   EXPECT_EQ(out.stats.states_examined, 0u);
   // Reset makes the token reusable.
   token.Reset();
@@ -612,7 +612,7 @@ TEST_P(AllAlgorithms, ConcurrentCancelStopsRunningSearch) {
   worker.join();
   EXPECT_FALSE(out.found);
   EXPECT_EQ(out.stop, StopReason::kCancelled);
-  EXPECT_TRUE(out.budget_exhausted);
+  EXPECT_TRUE(IsResourceStop(out.stop));
   EXPECT_LT(out.stats.states_examined, 20000u);
 }
 
@@ -630,7 +630,7 @@ TEST(BeamTest, StopReasonsAcrossLimits) {
   depth.max_depth = 10;
   auto out = ParallelBeamSearch(p, 8, nullptr, depth);
   EXPECT_EQ(out.stop, StopReason::kDepth);
-  EXPECT_TRUE(out.budget_exhausted);
+  EXPECT_TRUE(IsResourceStop(out.stop));
 
   SearchLimits memory;
   memory.max_depth = 2000;
@@ -667,7 +667,7 @@ TEST(BeamTest, RanDryIsExhaustedNotResourceStop) {
   auto out = ParallelBeamSearch(p, 4, nullptr, SearchLimits());
   EXPECT_FALSE(out.found);
   EXPECT_EQ(out.stop, StopReason::kExhausted);
-  EXPECT_FALSE(out.budget_exhausted);
+  EXPECT_FALSE(IsResourceStop(out.stop));
 }
 
 TEST(BudgetGuardTest, CountingLimitsCheckedEveryCall) {

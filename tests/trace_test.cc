@@ -1,9 +1,9 @@
 // The structured-tracing subsystem (obs/trace.h): per-thread ring
 // buffers (wraparound retention, dropped-event accounting), concurrent
 // emission from pool workers, B/E pairing in the Chrome JSON export, the
-// binary flight-record round trip, and the spans Tupelo::Discover emits
-// across the driver, search, executor, and pool layers — including the
-// flight-recorder dump triggers.
+// Chrome trace reader's exact round trip, and the spans Tupelo::Discover
+// emits across the driver, search, executor, and pool layers — including
+// the flight-recorder dump triggers.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -282,58 +283,104 @@ TEST(TraceExportTest, WriteChromeJsonRoundTripsThroughParser) {
 }
 
 // ---------------------------------------------------------------------------
-// Binary flight record
+// Chrome trace reader
 // ---------------------------------------------------------------------------
 
-TEST(FlightRecordTest, SerializeParseRoundTrip) {
+void ExpectSameEvents(const std::vector<TraceExportEvent>& got,
+                      const std::vector<TraceExportEvent>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].ts_ns, want[i].ts_ns) << "event " << i;
+    EXPECT_EQ(got[i].tid, want[i].tid) << "event " << i;
+    EXPECT_EQ(got[i].phase, want[i].phase) << "event " << i;
+    EXPECT_EQ(got[i].cat, want[i].cat) << "event " << i;
+    EXPECT_EQ(got[i].name, want[i].name) << "event " << i;
+    EXPECT_EQ(got[i].args, want[i].args) << "event " << i;
+  }
+}
+
+TEST(ChromeTraceReaderTest, RoundTripsCollectExactly) {
   TraceSession session;
   {
     TraceSpan span(&session, TraceCategory::kExecutor, "op.promote", "rel", 2);
-    session.EmitInstant(TraceCategory::kFault, "fault.injected", "n", 1);
+    session.EmitInstant(TraceCategory::kFault, "fault.injected", "n", 1,
+                        "code", -7);
+    span.SetEndArg("rows", int64_t{1} << 40);
   }
-  std::string bytes = session.SerializeFlightRecord();
-  Result<obs::FlightRecord> record = obs::ParseFlightRecord(bytes);
-  ASSERT_TRUE(record.ok()) << record.status();
-  std::vector<TraceExportEvent> direct = session.Collect();
-  ASSERT_EQ(record->events.size(), direct.size());
-  for (size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(record->events[i].name, direct[i].name);
-    EXPECT_EQ(record->events[i].ts_ns, direct[i].ts_ns);
-    EXPECT_EQ(record->events[i].tid, direct[i].tid);
-    EXPECT_EQ(record->events[i].phase, direct[i].phase);
-    EXPECT_EQ(record->events[i].cat, direct[i].cat);
-    ASSERT_EQ(record->events[i].args.size(), direct[i].args.size());
-    for (size_t j = 0; j < direct[i].args.size(); ++j) {
-      EXPECT_EQ(record->events[i].args[j], direct[i].args[j]);
-    }
+  std::thread worker([&session] {
+    TraceSpan span(&session, TraceCategory::kPool, "pool.task");
+    session.EmitInstant(TraceCategory::kCheckpoint, "checkpoint.write");
+  });
+  worker.join();
+  // Many timestamps, so the microsecond fraction is exercised at every
+  // nanosecond residue the clock happens to produce.
+  for (int i = 0; i < 2000; ++i) {
+    session.EmitInstant(TraceCategory::kSearch, "visit", "i", i);
   }
-  EXPECT_EQ(record->thread_count, 1u);
+  Result<std::vector<TraceExportEvent>> parsed =
+      obs::ParseChromeTrace(session.ToChromeJson().Dump(1));
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ExpectSameEvents(*parsed, session.Collect());
+
+  // A live session rarely lands on a timestamp whose microsecond value,
+  // times 1000, falls just below the integer; these do (as the writer
+  // prints them), so truncating instead of rounding would lose 1 ns.
+  Result<std::vector<TraceExportEvent>> pinned = obs::ParseChromeTrace(
+      R"({"traceEvents":[{"ph":"i","ts":1.0009999999999999,"tid":0,)"
+      R"("name":"a"},{"ph":"i","ts":1065911.0719999999,"tid":0,"name":"b"},)"
+      R"({"ph":"i","ts":67680211.232999995,"tid":0,"name":"c"}]})");
+  ASSERT_TRUE(pinned.ok()) << pinned.status();
+  ASSERT_EQ(pinned->size(), 3u);
+  EXPECT_EQ((*pinned)[0].ts_ns, 1001u);
+  EXPECT_EQ((*pinned)[1].ts_ns, 1065911072u);
+  EXPECT_EQ((*pinned)[2].ts_ns, 67680211233u);
 }
 
-TEST(FlightRecordTest, RejectsCorruptInput) {
-  EXPECT_FALSE(obs::ParseFlightRecord("").ok());
-  EXPECT_FALSE(obs::ParseFlightRecord("NOPE").ok());
+TEST(ChromeTraceReaderTest, RejectsEmptyTruncatedAndNonTraceInput) {
+  EXPECT_EQ(obs::ParseChromeTrace("").status().code(),
+            StatusCode::kParseError);
   TraceSession session;
-  session.EmitInstant(TraceCategory::kSearch, "tick");
-  std::string bytes = session.SerializeFlightRecord();
-  // Truncation anywhere must yield a typed error, never a crash.
-  for (size_t cut : {size_t{1}, bytes.size() / 2, bytes.size() - 1}) {
-    Result<obs::FlightRecord> r =
-        obs::ParseFlightRecord(std::string_view(bytes).substr(0, cut));
-    EXPECT_FALSE(r.ok()) << "cut=" << cut;
+  session.EmitInstant(TraceCategory::kSearch, "tick", "x", 1);
+  std::string text = session.ToChromeJson().Dump(1);
+  for (size_t cut : {size_t{1}, text.size() / 2, text.size() - 1}) {
+    EXPECT_EQ(obs::ParseChromeTrace(std::string_view(text).substr(0, cut))
+                  .status()
+                  .code(),
+              StatusCode::kParseError)
+        << "cut=" << cut;
   }
+  for (const char* not_a_trace :
+       {"{\"metrics\":{}}", "[1,2]", "{\"traceEvents\":{}}", "42"}) {
+    EXPECT_EQ(obs::ParseChromeTrace(not_a_trace).status().code(),
+              StatusCode::kInvalidArgument)
+        << not_a_trace;
+  }
+  // An event whose tid is not an integer is skipped, as is an arg whose
+  // value is not one (1e300 does not fit any integer type).
+  Result<std::vector<TraceExportEvent>> odd = obs::ParseChromeTrace(
+      R"({"traceEvents":[{"ph":"i","ts":1,"tid":1e300,"name":"x"},)"
+      R"({"ph":"i","ts":2,"tid":0,"name":"y","args":{"a":1e300,"b":3}}]})");
+  ASSERT_TRUE(odd.ok()) << odd.status();
+  ASSERT_EQ(odd->size(), 1u);
+  EXPECT_EQ((*odd)[0].name, "y");
+  EXPECT_EQ((*odd)[0].args,
+            (std::vector<std::pair<std::string, int64_t>>{{"b", 3}}));
 }
 
-TEST(FlightRecordTest, DumpAndLoadFile) {
+TEST(ChromeTraceReaderTest, LoadsWrittenFile) {
   TraceSession session;
-  session.EmitInstant(TraceCategory::kSearch, "tick", "x", 42);
-  std::string path = TempPath("trace_flight.bin");
-  ASSERT_TRUE(session.DumpFlightRecord(path));
-  Result<obs::FlightRecord> record = obs::LoadFlightRecord(path);
-  ASSERT_TRUE(record.ok()) << record.status();
-  ASSERT_EQ(record->events.size(), 1u);
-  EXPECT_EQ(record->events[0].name, "tick");
+  {
+    TraceSpan span(&session, TraceCategory::kDriver, "discover");
+    session.EmitInstant(TraceCategory::kSearch, "tick", "x", 42);
+  }
+  std::string path = TempPath("trace_reader.json");
+  ASSERT_TRUE(session.WriteChromeJson(path));
+  Result<std::vector<TraceExportEvent>> loaded = obs::LoadChromeTrace(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ExpectSameEvents(*loaded, session.Collect());
   std::remove(path.c_str());
+  EXPECT_EQ(obs::LoadChromeTrace(path).status().code(),
+            StatusCode::kNotFound);
 }
 
 // ---------------------------------------------------------------------------
@@ -434,7 +481,7 @@ TEST(DiscoverTraceTest, FlightRecorderDumpsOnResourceStop) {
   Database target = Tdb("relation T (X, B) { (1, 2) }");
   Tupelo system(source, target);
   TraceSession session;
-  std::string path = TempPath("trace_fr_stop.bin");
+  std::string path = TempPath("trace_fr_stop.flight");
   std::remove(path.c_str());
   TupeloOptions options;
   options.trace = &session;
@@ -445,9 +492,9 @@ TEST(DiscoverTraceTest, FlightRecorderDumpsOnResourceStop) {
   ASSERT_FALSE(r->found);
   ASSERT_TRUE(IsResourceStop(r->stop_reason));
   ASSERT_TRUE(FileExists(path));
-  Result<obs::FlightRecord> record = obs::LoadFlightRecord(path);
-  ASSERT_TRUE(record.ok()) << record.status();
-  EXPECT_FALSE(record->events.empty());
+  Result<std::vector<TraceExportEvent>> dump = obs::LoadChromeTrace(path);
+  ASSERT_TRUE(dump.ok()) << dump.status();
+  EXPECT_FALSE(dump->empty());
   std::remove(path.c_str());
 }
 
@@ -456,7 +503,7 @@ TEST(DiscoverTraceTest, FlightRecorderStaysQuietOnSuccess) {
   Database target = Tdb("relation R (B) { (1) }");
   Tupelo system(source, target);
   TraceSession session;
-  std::string path = TempPath("trace_fr_ok.bin");
+  std::string path = TempPath("trace_fr_ok.flight");
   std::remove(path.c_str());
   TupeloOptions options;
   options.trace = &session;
@@ -474,7 +521,7 @@ TEST(DiscoverTraceTest, FlightRecorderDumpsOnCheckpointKill) {
   Tupelo system(source, target);
   TraceSession session;
   std::string cp_path = TempPath("trace_fr_kill.cp");
-  std::string fr_path = TempPath("trace_fr_kill.bin");
+  std::string fr_path = TempPath("trace_fr_kill.flight");
   std::remove(fr_path.c_str());
   TupeloOptions options;
   options.trace = &session;
@@ -486,11 +533,11 @@ TEST(DiscoverTraceTest, FlightRecorderDumpsOnCheckpointKill) {
   ASSERT_TRUE(r.ok()) << r.status();
   ASSERT_EQ(r->stop_reason, StopReason::kCancelled);
   ASSERT_TRUE(FileExists(fr_path));
-  Result<obs::FlightRecord> record = obs::LoadFlightRecord(fr_path);
-  ASSERT_TRUE(record.ok()) << record.status();
+  Result<std::vector<TraceExportEvent>> dump = obs::LoadChromeTrace(fr_path);
+  ASSERT_TRUE(dump.ok()) << dump.status();
   // The dump must capture checkpoint activity from the killed run.
   bool saw_checkpoint = false;
-  for (const TraceExportEvent& e : record->events) {
+  for (const TraceExportEvent& e : *dump) {
     if (e.name == "checkpoint.write") saw_checkpoint = true;
   }
   EXPECT_TRUE(saw_checkpoint);
@@ -502,7 +549,7 @@ TEST(DiscoverTraceTest, FlightRecorderPathRequiresTraceSession) {
   Database db = Tdb("relation R (A) { (1) }");
   Tupelo system(db, db);
   TupeloOptions options;
-  options.flight_recorder_path = TempPath("never_written.bin");
+  options.flight_recorder_path = TempPath("never_written.flight");
   Result<TupeloResult> r = system.Discover(options);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);

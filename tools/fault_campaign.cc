@@ -52,10 +52,11 @@
 //
 // Every trial also records into a small per-trial TraceSession with the
 // flight recorder armed: a trial that is killed, stops for a bad reason,
-// or absorbs injected faults leaves a binary last-events dump
+// or absorbs injected faults leaves a Chrome-trace dump of its last events
 // (fault_campaign_<seed>_<trial>.flight, next to the campaign JSON when
 // --json= is given), and the campaign immediately reloads each dump
-// through ParseFlightRecord — an unparseable dump is itself a violation.
+// through LoadChromeTrace — an unparseable or empty dump is itself a
+// violation.
 //
 // Exits non-zero if any invariant is violated; the --json report follows
 // the bench layout (scripts/check_bench_json.py) with one run
@@ -596,19 +597,19 @@ int main(int argc, char** argv) {
     }
 
     // Flight-recorder self-check: any dump this trial left behind must
-    // reload cleanly through the binary parser — a corrupt dump is
+    // reload cleanly as a Chrome trace — a corrupt or empty dump is
     // itself a violation.
-    bool dumped = false;
-    if (std::FILE* f = std::fopen(flight_path.c_str(), "rb"); f != nullptr) {
-      std::fclose(f);
-      dumped = true;
+    Result<std::vector<obs::TraceExportEvent>> dump =
+        obs::LoadChromeTrace(flight_path);
+    const bool dumped =
+        dump.ok() || dump.status().code() != StatusCode::kNotFound;
+    if (dumped) {
       ++campaign.flight_dumps;
-      Result<obs::FlightRecord> record = obs::LoadFlightRecord(flight_path);
-      if (!record.ok()) {
-        campaign.Violation(t, "flight-record dump unparseable: " +
-                                  record.status().ToString());
-      } else if (record->events.empty()) {
-        campaign.Violation(t, "flight-record dump has no events");
+      if (!dump.ok()) {
+        campaign.Violation(t, "flight-recorder dump unparseable: " +
+                                  dump.status().ToString());
+      } else if (dump->empty()) {
+        campaign.Violation(t, "flight-recorder dump has no events");
       }
     }
 
